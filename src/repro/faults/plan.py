@@ -415,8 +415,10 @@ class TransportFault:
             value = getattr(self, name)
             if not 0.0 <= value < 1.0:
                 raise ConfigError(f"{name} must be in [0, 1), got {value!r}")
-        if self.retransmit_penalty < 0 or self.delay < 0:
-            raise ConfigError("fault penalties must be >= 0")
+        for name in ("retransmit_penalty", "delay"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ConfigError(f"{name} must be finite and >= 0, got {value!r}")
         if self.max_losses < 1:
             raise ConfigError("max_losses must be >= 1")
 

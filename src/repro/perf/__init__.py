@@ -17,7 +17,6 @@ from repro.perf.micro import (
     bench_drift,
     bench_end_to_end,
     bench_event_throughput,
-    bench_event_throughput_dense,
     bench_link_burst,
     bench_scheduler_queue,
     bench_sweep,
@@ -32,7 +31,6 @@ __all__ = [
     "bench_drift",
     "bench_end_to_end",
     "bench_event_throughput",
-    "bench_event_throughput_dense",
     "bench_link_burst",
     "bench_scheduler_queue",
     "bench_sweep",

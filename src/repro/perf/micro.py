@@ -7,9 +7,6 @@ their time in:
 
 * ``event_throughput`` — the discrete-event kernel alone: processes
   ping-ponging timeouts, no network, no scheduler.
-* ``event_throughput_dense`` — the same kernel under a *dense* pending
-  population (tens of thousands of live timers), the regime where the
-  calendar queue's O(1) buckets beat the heap's O(log n) sifts.
 * ``link_burst`` — back-to-back frames through one FIFO ``Link`` on
   the batched callback completion path (the per-hop cost every fabric
   transfer pays, without the Event allocation of the classic API).
@@ -41,7 +38,6 @@ from repro.comm.base import ChunkHandle, ChunkSpec, CommBackend
 
 __all__ = [
     "bench_event_throughput",
-    "bench_event_throughput_dense",
     "bench_link_burst",
     "bench_scheduler_queue",
     "bench_end_to_end",
@@ -77,38 +73,6 @@ def bench_event_throughput(
     elapsed = time.perf_counter() - started
     return {
         "name": "event_throughput",
-        "unit": "events/s",
-        "value": total_events / elapsed,
-        "wall_s": elapsed,
-        "params": {"processes": processes, "steps": steps},
-    }
-
-
-def bench_event_throughput_dense(
-    processes: int = 20000, steps: int = 12
-) -> Dict[str, Any]:
-    """Events/second with a *dense* pending population.
-
-    Tens of thousands of concurrent timers keep that many entries live
-    in the kernel's queue at once — the regime a big fabric sweep or a
-    cluster-scale sim produces, and the one where heap sifts pay
-    O(log n) per event while calendar buckets stay O(1).
-    """
-    env = Environment()
-    total_events = processes * steps
-
-    def worker(index: int):
-        delay = 0.001 + index * 1e-7
-        for _ in range(steps):
-            yield env.timeout(delay)
-
-    for index in range(processes):
-        env.process(worker(index))
-    started = time.perf_counter()
-    env.run()
-    elapsed = time.perf_counter() - started
-    return {
-        "name": "event_throughput_dense",
         "unit": "events/s",
         "value": total_events / elapsed,
         "wall_s": elapsed,
@@ -440,7 +404,6 @@ def bench_sweep(
 #: name -> zero-argument callable, in reporting order.
 MICROBENCHMARKS = {
     "event_throughput": bench_event_throughput,
-    "event_throughput_dense": bench_event_throughput_dense,
     "link_burst": bench_link_burst,
     "scheduler_queue": bench_scheduler_queue,
     "end_to_end": bench_end_to_end,

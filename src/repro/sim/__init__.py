@@ -8,7 +8,6 @@ execution model.
 
 from repro.sim.core import Environment, Event, Process, Timeout
 from repro.sim.events import AllOf, AnyOf, Condition
-from repro.sim.queues import DEFAULT_QUEUE, QUEUE_ENV_VAR, QUEUE_KINDS, resolve_queue
 from repro.sim.monitor import Span, Trace, utilization
 from repro.sim.resources import (
     Container,
@@ -36,8 +35,4 @@ __all__ = [
     "Trace",
     "Span",
     "utilization",
-    "DEFAULT_QUEUE",
-    "QUEUE_ENV_VAR",
-    "QUEUE_KINDS",
-    "resolve_queue",
 ]

@@ -22,25 +22,22 @@ construction is hand-inlined, and the queue may hold a bare
 :meth:`Environment.defer`) so zero-delay wakeups and process kick-offs
 allocate nothing.
 
-The queue itself comes in two flavours (see :mod:`repro.sim.queues`):
-the default **calendar queue** — a ring of time buckets where a push is
-a comparison-free ``list.append`` and each bucket is sorted once when
-its time comes — and the classic binary **heap** fallback
-(``REPRO_SIM_QUEUE=heap``).  Both order entries by the same
-``(when, key)`` pair, where ``key`` packs the urgency bit above the
-sequence number, so trajectories are bit-identical between them and to
-the straightforward implementation: each schedule point consumes
-exactly one sequence number either way.
+The queue is a binary heap (:mod:`heapq`) of ``(when, key, item)``
+entries, where ``key`` packs the urgency bit above the sequence number
+so one integer compare resolves a same-instant tie.  Each schedule
+point consumes exactly one sequence number, so the trajectory is the
+same as the straightforward ``(time, priority, sequence)`` ordering.
+A pure-Python bucketed queue was measured slower on every end-to-end
+workload: the C-implemented ``heapq`` wins at the tens to thousands of
+live entries these simulations keep.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 from repro.errors import Interrupt, SimulationError
-from repro.sim.queues import resolve_queue
 
 __all__ = ["Environment", "Event", "Timeout", "Process", "PENDING"]
 
@@ -59,26 +56,6 @@ _NORMAL = 1
 _NORMAL_BASE = 1 << 53
 
 _INF = float("inf")
-
-#: Calendar geometry: initial bucket width (seconds per bucket — the
-#: auto-calibration adapts it to the workload), initial/maximum ring
-#: size, and the two re-calibration triggers: every ``_CAL_EVERY``
-#: bucket-loaded events (catches buckets growing too dense) or every
-#: ``_CAL_STEPS`` scanned buckets (catches the opposite failure mode —
-#: a too-narrow width on a sparse timeline scans hundreds of empty
-#: buckets per event but loads so few events that the event-count
-#: trigger alone would never fire within a short run).
-_DEFAULT_WIDTH = 1e-5
-_DEFAULT_BUCKETS = 1024
-_MAX_BUCKETS = 1 << 16
-_CAL_EVERY = 512
-_CAL_STEPS = 2048
-
-#: Ring position larger than ``int(x)`` of any finite float: pinning
-#: ``_cur`` here routes every finite push into the sorted due list,
-#: which is how the ring degrades gracefully once only unreachable
-#: (infinite / beyond-float-index) times remain.
-_CUR_CAP = 1 << 1100
 
 
 class Event:
@@ -168,8 +145,10 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay {delay!r}")
+        # ``not >=`` (rather than ``<``) also rejects NaN, which would
+        # otherwise sit at the heap head and stall the run loop.
+        if not delay >= 0:
+            raise SimulationError(f"timeout delay must be >= 0, got {delay!r}")
         # Inlined Event.__init__ + _schedule: timeouts dominate the
         # allocation profile, so they pay for zero indirection.
         self.env = env
@@ -180,29 +159,7 @@ class Timeout(Event):
         self.delay = delay
         eid = env._eid + 1
         env._eid = eid
-        when = env._now + delay
-        queue = env._queue
-        if queue is not None:
-            heappush(queue, (when, _NORMAL_BASE + eid, self))
-            return
-        # Calendar push inlined (the comparison-free append path):
-        # timeouts are the single hottest producer of queue entries.
-        try:
-            idx = int(when * env._inv)
-        except (OverflowError, ValueError):
-            heappush(env._far, (when, _NORMAL_BASE + eid, self))
-            return
-        cur = env._cur
-        if cur < idx:
-            if idx - cur < env._nb:
-                env._buckets[idx & env._mask].append(
-                    (when, _NORMAL_BASE + eid, self)
-                )
-                env._size += 1
-            else:
-                heappush(env._far, (when, _NORMAL_BASE + eid, self))
-        else:
-            insort(env._due, (when, _NORMAL_BASE + eid, self), env._pos)
+        heappush(env._queue, (env._now + delay, _NORMAL_BASE + eid, self))
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self.delay} at {id(self):#x}>"
@@ -250,11 +207,7 @@ class Process(Event):
         # that the run loop dispatches directly.
         eid = env._eid + 1
         env._eid = eid
-        queue = env._queue
-        if queue is not None:
-            heappush(queue, (env._now, _NORMAL_BASE + eid, (self._resume, _INIT)))
-        else:
-            env._push_entry((env._now, _NORMAL_BASE + eid, (self._resume, _INIT)))
+        heappush(env._queue, (env._now, _NORMAL_BASE + eid, (self._resume, _INIT)))
 
     @property
     def is_alive(self) -> bool:
@@ -366,78 +319,19 @@ class Environment:
         env.run()
         assert proc.value == 3.0
 
-    ``queue`` selects the queue implementation (``"calendar"`` or
-    ``"heap"``); ``None`` consults ``$REPRO_SIM_QUEUE`` and falls back
-    to the calendar queue.  The two are trajectory-identical — see
-    :mod:`repro.sim.queues`.
-
-    Calendar-queue layout (active when ``_queue is None``): ``_due`` is
-    the ascending-sorted list of entries currently due, consumed through
-    the ``_pos`` cursor; ``_buckets`` is a power-of-two ring of
-    unsorted per-bucket lists covering ``_nb`` bucket-widths of future
-    time past ``_cur`` (a push is a bare append — each bucket is sorted
-    once, when :meth:`_refill` loads it); ``_far`` is a heap of entries
-    beyond the ring, drained into it at ring-wrap boundaries.  Pushes at
-    or before the current bucket insort into ``_due`` directly, so
-    same-instant wakeups stay O(length of the current instant), not
-    O(pending).
+    Pending work lives in one binary heap, ``_queue``, of
+    ``(when, key, item)`` entries (see ``_NORMAL_BASE`` for ``key``);
+    ``item`` is an :class:`Event` or a bare ``(callback, arg)`` pair
+    from :meth:`defer`.
     """
 
-    __slots__ = (
-        "_now",
-        "_queue",
-        "_eid",
-        "_active_process",
-        # calendar-queue state (unused in heap mode)
-        "_due",
-        "_pos",
-        "_buckets",
-        "_nb",
-        "_mask",
-        "_cur",
-        "_width",
-        "_inv",
-        "_size",
-        "_far",
-        "_cal_events",
-        "_cal_steps",
-        "_cal_loads",
-    )
+    __slots__ = ("_now", "_queue", "_eid", "_active_process")
 
-    def __init__(
-        self, initial_time: float = 0.0, queue: Optional[str] = None
-    ) -> None:
+    def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
+        self._queue: List[tuple] = []
         self._eid = 0
         self._active_process: Optional[Process] = None
-        if resolve_queue(queue) == "heap":
-            self._queue: Optional[List[tuple]] = []
-            self._due = self._buckets = self._far = None
-            self._pos = self._nb = self._mask = self._cur = self._size = 0
-            self._width = self._inv = 0.0
-            self._cal_events = 0
-            self._cal_steps = 0
-            self._cal_loads = 0
-        else:
-            self._queue = None
-            self._due: List[tuple] = []
-            self._pos = 0
-            self._buckets: List[List[tuple]] = [
-                [] for _ in range(_DEFAULT_BUCKETS)
-            ]
-            self._nb = _DEFAULT_BUCKETS
-            self._mask = _DEFAULT_BUCKETS - 1
-            self._width = _DEFAULT_WIDTH
-            self._inv = 1.0 / _DEFAULT_WIDTH
-            try:
-                self._cur = int(self._now * self._inv)
-            except (OverflowError, ValueError):
-                self._cur = _CUR_CAP
-            self._size = 0
-            self._far: List[tuple] = []
-            self._cal_events = 0
-            self._cal_steps = 0
-            self._cal_loads = 0
 
     @property
     def now(self) -> float:
@@ -448,11 +342,6 @@ class Environment:
     def active_process(self) -> Optional[Process]:
         """The process currently being resumed, if any."""
         return self._active_process
-
-    @property
-    def queue_kind(self) -> str:
-        """Which queue implementation this environment runs on."""
-        return "heap" if self._queue is not None else "calendar"
 
     # -- event factories -------------------------------------------------
 
@@ -486,27 +375,7 @@ class Environment:
         eid = self._eid + 1
         self._eid = eid
         key = _NORMAL_BASE + eid if priority else eid
-        when = self._now + delay
-        entry = (when, key, event)
-        queue = self._queue
-        if queue is not None:
-            heappush(queue, entry)
-            return
-        # The calendar push, inlined (see _push_entry): most schedules
-        # are same-instant wakeups that insort just past the cursor.
-        try:
-            idx = int(when * self._inv)
-        except (OverflowError, ValueError):
-            heappush(self._far, entry)
-            return
-        cur = self._cur
-        if idx <= cur:
-            insort(self._due, entry, self._pos)
-        elif idx - cur < self._nb:
-            self._buckets[idx & self._mask].append(entry)
-            self._size += 1
-        else:
-            heappush(self._far, entry)
+        heappush(self._queue, (self._now + delay, key, event))
 
     def defer(
         self,
@@ -525,235 +394,30 @@ class Environment:
         would have.  There is nothing to wait on or cancel — use a real
         :class:`Timeout` when the caller needs a handle.
         """
-        if delay < 0:
-            raise SimulationError(f"negative defer delay {delay!r}")
+        if not delay >= 0:  # also rejects NaN
+            raise SimulationError(f"defer delay must be >= 0, got {delay!r}")
         eid = self._eid + 1
         self._eid = eid
         key = _NORMAL_BASE + eid if priority else eid
-        when = self._now + delay
-        entry = (when, key, (fn, arg))
-        queue = self._queue
-        if queue is not None:
-            heappush(queue, entry)
-            return
-        try:
-            idx = int(when * self._inv)
-        except (OverflowError, ValueError):
-            heappush(self._far, entry)
-            return
-        cur = self._cur
-        if idx <= cur:
-            insort(self._due, entry, self._pos)
-        elif idx - cur < self._nb:
-            self._buckets[idx & self._mask].append(entry)
-            self._size += 1
-        else:
-            heappush(self._far, entry)
-
-    # -- calendar-queue internals -----------------------------------------
-
-    def _push_entry(self, entry: tuple) -> None:
-        """File ``entry = (when, key, item)`` into the calendar.
-
-        Entries at or before the current bucket insort into the due
-        list (rare: same-instant wakeups); in-ring entries append to
-        their bucket with no comparison at all; the rest heap into the
-        far-future overflow.
-        """
-        try:
-            idx = int(entry[0] * self._inv)
-        except (OverflowError, ValueError):
-            # Infinite (or non-finite) times never index a bucket.
-            heappush(self._far, entry)
-            return
-        cur = self._cur
-        if idx <= cur:
-            insort(self._due, entry, self._pos)
-        elif idx - cur < self._nb:
-            self._buckets[idx & self._mask].append(entry)
-            self._size += 1
-        else:
-            heappush(self._far, entry)
-
-    def _refill(self) -> bool:
-        """Advance the ring to the next non-empty bucket and load it as
-        the new due list.  Only called with the due list exhausted;
-        returns False when nothing is pending anywhere.
-
-        Far-heap entries are drained into the ring at every ring-wrap
-        boundary, so by the time the scan reaches an index, everything
-        filed under it is in its bucket (each entry's last wrap point
-        precedes its index and covers it: ``wrap <= idx < wrap + nb``).
-        When the ring is empty the scan jumps straight to the earliest
-        far entry instead of stepping through empty buckets.
-        """
-        due = self._due
-        due.clear()
-        self._pos = 0
-        size = self._size
-        far = self._far
-        if not size and not far:
-            return False
-        buckets = self._buckets
-        mask = self._mask
-        nb = self._nb
-        inv = self._inv
-        cur = self._cur
-        steps = 0
-        while True:
-            if not size:
-                if not far:
-                    self._cur = cur
-                    self._size = 0
-                    return False
-                try:
-                    jump = int(far[0][0] * inv) - 1
-                except (OverflowError, ValueError):
-                    # Only unreachable-index times remain: serve them
-                    # straight from the due list and pin the ring so
-                    # any later finite push insorts ahead of them.
-                    far.sort()
-                    due.extend(far)
-                    far.clear()
-                    self._cur = _CUR_CAP
-                    self._size = 0
-                    return True
-                if jump > cur:
-                    cur = jump
-            cur += 1
-            steps += 1
-            if far and (not (cur & mask) or not size):
-                lim = cur + nb
-                while far and far[0][0] * inv < lim:
-                    entry = heappop(far)
-                    buckets[int(entry[0] * inv) & mask].append(entry)
-                    size += 1
-            bucket = buckets[cur & mask]
-            if bucket:
-                n = len(bucket)
-                size -= n
-                self._cur = cur
-                self._size = size
-                if n > 1:
-                    bucket.sort()
-                # Promote the bucket to due list wholesale; the spent
-                # due list becomes the (empty) bucket.
-                self._due = bucket
-                buckets[cur & mask] = due
-                self._cal_events += n
-                self._cal_steps += steps
-                self._cal_loads += 1
-                if (
-                    self._cal_events >= _CAL_EVERY
-                    or self._cal_steps >= _CAL_STEPS
-                ) and self._recalibrate():
-                    # Geometry rebuilt: entries were redistributed, so
-                    # the freshly promoted due list may have moved on.
-                    return True if self._due else self._refill()
-                return True
-
-    def _recalibrate(self) -> bool:
-        """Adapt the bucket width to the observed event-time density.
-
-        Called every ``_CAL_EVERY`` bucket-loaded events *or* every
-        ``_CAL_STEPS`` scanned buckets (whichever fires first — the
-        step trigger is what lets a sparse timeline adapt before the
-        event count ever accumulates).  The width estimate is
-        *occupancy-based*: scale the current width so a loaded bucket
-        would have held about a dozen events.  Occupancy is robust
-        where the mean inter-event gap is not — a bursty timeline
-        (clusters of near-simultaneous events separated by long idle
-        stretches, the shape every synchronous-training sim produces)
-        has a huge mean gap that would argue for enormous buckets, yet
-        each cluster must still be *split* across buckets or the due
-        list degenerates into an O(n)-insert sorted array.  Rebuilds
-        (returning True) happen only when the ideal is more than 3x off
-        the current width.  Purely a function of simulated state, so
-        trajectories stay deterministic.
-        """
-        n = self._cal_events
-        loads = self._cal_loads
-        self._cal_events = 0
-        self._cal_steps = 0
-        self._cal_loads = 0
-        if n <= 0 or loads <= 0:
-            return False
-        ideal = self._width * 12.0 * loads / n
-        if ideal < 1e-12:
-            ideal = 1e-12
-        elif ideal > 1e9:
-            ideal = 1e9
-        width = self._width
-        if ideal < width * 3.0 and ideal * 3.0 > width:
-            return False
-        self._rebuild(ideal)
-        return True
-
-    def _rebuild(self, width: float) -> None:
-        """Re-file every pending entry under a new bucket width (and a
-        ring sized to ~4 pending entries per bucket)."""
-        entries = self._due[self._pos:]
-        for bucket in self._buckets:
-            entries.extend(bucket)
-        entries.extend(self._far)
-        nb = _DEFAULT_BUCKETS
-        pending = len(entries)
-        while nb < _MAX_BUCKETS and nb * 4 < pending:
-            nb <<= 1
-        self._width = width
-        self._inv = 1.0 / width
-        self._nb = nb
-        self._mask = nb - 1
-        self._buckets = [[] for _ in range(nb)]
-        self._far = []
-        self._size = 0
-        self._due = []
-        self._pos = 0
-        try:
-            self._cur = int(self._now * self._inv)
-        except (OverflowError, ValueError):
-            self._cur = _CUR_CAP
-        for entry in entries:
-            self._push_entry(entry)
+        heappush(self._queue, (self._now + delay, key, (fn, arg)))
 
     def _pending(self) -> int:
         """Number of scheduled-but-unfired entries (for repr/tests)."""
-        if self._queue is not None:
-            return len(self._queue)
-        return (len(self._due) - self._pos) + self._size + len(self._far)
+        return len(self._queue)
 
     # -- execution --------------------------------------------------------
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
         queue = self._queue
-        if queue is not None:
-            return queue[0][0] if queue else _INF
-        due = self._due
-        pos = self._pos
-        if pos < len(due):
-            return due[pos][0]
-        if self._refill():
-            return self._due[0][0]
-        return _INF
+        return queue[0][0] if queue else _INF
 
     def step(self) -> None:
         """Process the single next event."""
         queue = self._queue
-        if queue is not None:
-            if not queue:
-                raise SimulationError("no more events to step through")
-            when, _key, event = heappop(queue)
-        else:
-            due = self._due
-            pos = self._pos
-            if pos >= len(due):
-                if not self._refill():
-                    raise SimulationError("no more events to step through")
-                due = self._due
-                pos = 0
-            when, _key, event = due[pos]
-            self._pos = pos + 1
+        if not queue:
+            raise SimulationError("no more events to step through")
+        when, _key, event = heappop(queue)
         if when < self._now:
             raise SimulationError("event scheduled in the past")
         self._now = when
@@ -776,7 +440,7 @@ class Environment:
         even if no event fires at that instant.
         """
         if until is not None:
-            if until < self._now:
+            if not until >= self._now:  # also rejects NaN
                 raise SimulationError(
                     f"cannot run until {until!r}; clock already at {self._now!r}"
                 )
@@ -788,45 +452,18 @@ class Environment:
         # scheduled-in-the-past guard (unreachable from a monotonic
         # queue; step() keeps it for direct callers).
         queue = self._queue
-        if queue is not None:
-            while queue and queue[0][0] <= horizon:
-                when, _key, event = heappop(queue)
-                self._now = when
-                if event.__class__ is tuple:
-                    event[0](event[1])
-                    continue
-                callbacks = event.callbacks
-                event.callbacks = None
-                for callback in callbacks:
-                    callback(event)
-                if not event._ok and not event.defused:
-                    raise event._value
-        else:
-            # The due list and cursor are re-read every iteration:
-            # callbacks push (mutating the due list in place) and may
-            # peek (which can refill, *replacing* the due list).
-            while True:
-                due = self._due
-                pos = self._pos
-                if pos >= len(due):
-                    if not self._refill():
-                        break
-                    due = self._due
-                    pos = 0
-                when, _key, event = due[pos]
-                if when > horizon:
-                    break
-                self._pos = pos + 1
-                self._now = when
-                if event.__class__ is tuple:
-                    event[0](event[1])
-                    continue
-                callbacks = event.callbacks
-                event.callbacks = None
-                for callback in callbacks:
-                    callback(event)
-                if not event._ok and not event.defused:
-                    raise event._value
+        while queue and queue[0][0] <= horizon:
+            when, _key, event = heappop(queue)
+            self._now = when
+            if event.__class__ is tuple:
+                event[0](event[1])
+                continue
+            callbacks = event.callbacks
+            event.callbacks = None
+            for callback in callbacks:
+                callback(event)
+            if not event._ok and not event.defused:
+                raise event._value
         if until is not None:
             self._now = horizon
 

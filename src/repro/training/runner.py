@@ -113,11 +113,8 @@ def linear_scaling_speed(
     """
     from dataclasses import replace
 
+    # Valid for TensorFlow too: its plugin is PS-only, but the local run keeps its barrier.
     single = replace(cluster, machines=1, num_servers=None, arch="allreduce")
-    if single.framework == "tensorflow":
-        # The TF plugin exists for PS only, but a local TF run still has
-        # its barrier; the engine combination is valid here.
-        pass
     result = run_experiment(
         model,
         single,

@@ -758,12 +758,3 @@ class AdaptiveTuner:
             segments=history,
             timeline=timeline,
         )
-
-    def _best_arm(self) -> Optional[Point]:
-        """The point with the highest discounted mean, if any."""
-        best: Optional[Point] = None
-        best_mean = -1.0
-        for point, arm in self._arms.items():
-            if arm.weight > 0 and arm.mean > best_mean:
-                best, best_mean = point, arm.mean
-        return best

@@ -1,7 +1,7 @@
 """The drift-robustness experiment: specs, epochs, determinism, verdict.
 
 Fast lane: the pure plan/epoch arithmetic, the CLI wiring, and a
-small-scale digest-determinism check across both event-queue kernels.
+small-scale digest-determinism check across replays.
 Slow lane (nightly): the full ``reproduce drift --fast`` verdict — the
 adaptive tuner's regret ordering against static/online/oracle.
 """
@@ -95,7 +95,7 @@ def test_cli_accepts_the_drift_target():
 # -- determinism (S6), scaled down to stay in the fast lane ----------------
 
 
-def _tuned_digest(queue):
+def _tuned_digest():
     cluster = ClusterSpec(
         machines=2, gpus_per_machine=2, arch="ps", transport="tcp",
         bandwidth_gbps=25, seed=0,
@@ -128,14 +128,9 @@ def _tuned_digest(queue):
     return tuple(job.backend.sync_digest())
 
 
-def test_adaptive_digest_deterministic_across_runs_and_kernels(monkeypatch):
-    digests = set()
-    for queue in ("calendar", "heap"):
-        monkeypatch.setenv("REPRO_SIM_QUEUE", queue)
-        digests.add(_tuned_digest(queue))
-        digests.add(_tuned_digest(queue))
-    # Two replays per kernel, both kernels: one bit-identical history.
-    assert len(digests) == 1
+def test_adaptive_digest_deterministic_across_runs():
+    # Two replays: one bit-identical history.
+    assert _tuned_digest() == _tuned_digest()
 
 
 # -- the acceptance verdict (nightly) --------------------------------------

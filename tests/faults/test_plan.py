@@ -59,6 +59,9 @@ def test_parse_empty_and_whitespace_clauses():
         "blackout:w0.up@0.2-",       # infinite blackout
         "delay:0.1",                 # missing duration
         "straggler:@0-1x2",          # empty target
+        "delay:0.5@nan",             # non-finite delay
+        "delay:0.5@inf",
+        "loss:0.1@nan",              # non-finite retransmit penalty
     ],
 )
 def test_parse_rejects_malformed_clauses(spec):

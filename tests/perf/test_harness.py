@@ -98,7 +98,7 @@ def test_format_results_lists_each_benchmark():
 
 def test_microbenchmarks_registry_names():
     assert set(MICROBENCHMARKS) == {
-        "event_throughput", "event_throughput_dense", "link_burst",
+        "event_throughput", "link_burst",
         "scheduler_queue", "end_to_end", "dear", "drift", "cluster",
         "claim_protocol",
     }
@@ -148,14 +148,6 @@ def test_committed_baseline_is_loadable():
     assert set(MICROBENCHMARKS) <= set(baseline["results"])
     for result in baseline["results"].values():
         assert result["value"] > 0
-
-
-def test_dense_event_throughput_bench_runs():
-    from repro.perf import bench_event_throughput_dense
-
-    result = bench_event_throughput_dense(processes=50, steps=4)
-    assert result["unit"] == "events/s"
-    assert result["value"] > 0
 
 
 def test_link_burst_bench_runs():

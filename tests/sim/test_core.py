@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event kernel (Environment/Event/Process)."""
 
+import math
+
 import pytest
 
 from repro.errors import Interrupt, SimulationError
@@ -33,6 +35,24 @@ def test_negative_timeout_rejected():
     env = Environment()
     with pytest.raises(SimulationError):
         env.timeout(-1.0)
+
+
+def test_nan_timeout_rejected():
+    # A NaN at the heap head would end run() at once and drop every
+    # later event.
+    env = Environment()
+    with pytest.raises(SimulationError):
+        env.timeout(math.nan)
+
+
+def test_infinite_delay_parks_forever():
+    env = Environment()
+    fired = []
+    env.timeout(math.inf).callbacks.append(lambda _evt: fired.append("inf"))
+    env.timeout(1.0).callbacks.append(lambda _evt: fired.append("finite"))
+    env.run(until=10.0)
+    assert fired == ["finite"]
+    assert env.now == 10.0
 
 
 def test_timeout_carries_value():
@@ -248,6 +268,13 @@ def test_run_until_past_raises():
         env.run(until=1.0)
 
 
+def test_run_until_nan_raises():
+    env = Environment()
+    with pytest.raises(SimulationError):
+        env.run(until=math.nan)
+    assert env.now == 0.0
+
+
 def test_step_empty_queue_raises():
     env = Environment()
     with pytest.raises(SimulationError):
@@ -283,6 +310,26 @@ def test_interrupt_raises_in_process():
     env.process(attacker(env, victim_proc))
     env.run()
     assert log == [(3.0, "stop it")]
+
+
+def test_interrupt_preempts_same_instant_normal_event():
+    env = Environment()
+    log = []
+
+    def victim(env):
+        try:
+            yield env.timeout(100.0)
+        except Interrupt:
+            log.append("interrupt")
+
+    process = env.process(victim(env))
+    env.run(until=1.0)
+    # Scheduled first, but normal priority: the interrupt, scheduled
+    # later for the same instant, must still fire before it.
+    env.defer(lambda _: log.append("normal"))
+    process.interrupt()
+    env.run()
+    assert log == ["interrupt", "normal"]
 
 
 def test_interrupt_dead_process_raises():
@@ -439,3 +486,9 @@ def test_defer_with_delay_and_priority():
     env.defer(lambda _: log.append(("early", env.now)), delay=1.0)
     env.run()
     assert log == [("early", 1.0), ("late", 2.0)]
+
+
+def test_defer_nan_delay_rejected():
+    env = Environment()
+    with pytest.raises(SimulationError):
+        env.defer(lambda _: None, delay=math.nan)
