@@ -27,6 +27,7 @@ Engines differ only in *when* they run posted ops — see
 from __future__ import annotations
 
 import enum
+import math
 from typing import Callable, Iterable, List, Optional, Union
 
 from repro.errors import ConfigError
@@ -50,6 +51,21 @@ DepLike = Union["EngineOp", Event]
 class EngineOp:
     """One operation posted to a framework engine."""
 
+    __slots__ = (
+        "name",
+        "kind",
+        "deps",
+        "duration",
+        "launch",
+        "async_launch",
+        "on_start",
+        "release",
+        "seq",
+        "done",
+        "started_at",
+        "finished_at",
+    )
+
     def __init__(
         self,
         name: str,
@@ -61,8 +77,10 @@ class EngineOp:
         on_start: Optional[Callable[[], None]] = None,
         release: Optional[Event] = None,
     ) -> None:
-        if kind is OpKind.COMPUTE and duration < 0:
-            raise ConfigError(f"op {name!r}: negative duration")
+        if kind is OpKind.COMPUTE and not 0 <= duration < math.inf:
+            raise ConfigError(
+                f"op {name!r}: duration must be finite and >= 0, got {duration!r}"
+            )
         if kind is OpKind.COMM and launch is None:
             raise ConfigError(f"op {name!r}: COMM ops need a launch callable")
         self.name = name

@@ -121,8 +121,10 @@ class ClusterSpec:
             raise ConfigError(f"arch must be 'ps' or 'allreduce', got {self.arch!r}")
         if self.framework not in ("mxnet", "tensorflow", "pytorch"):
             raise ConfigError(f"unknown framework {self.framework!r}")
-        if self.compute_jitter < 0:
-            raise ConfigError("compute_jitter must be >= 0")
+        if not 0 <= self.compute_jitter < math.inf:
+            raise ConfigError(
+                f"compute_jitter must be finite and >= 0, got {self.compute_jitter!r}"
+            )
         if self.retry_timeout is not None and self.retry_timeout <= 0:
             raise ConfigError(
                 f"retry_timeout must be > 0, got {self.retry_timeout}"

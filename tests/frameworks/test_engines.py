@@ -187,5 +187,8 @@ def test_dep_on_unposted_op_rejected():
 
 
 def test_negative_duration_rejected():
-    with pytest.raises(ConfigError):
-        compute("bad", -1.0)
+    # NaN compares false with everything: a ``duration < 0`` check
+    # alone would let it through, and the op would finish in zero time.
+    for duration in (-1.0, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ConfigError):
+            compute("bad", duration)

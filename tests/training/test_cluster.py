@@ -40,6 +40,11 @@ def test_validation():
         ClusterSpec(machines=1, framework="caffe")
     with pytest.raises(ConfigError):
         ClusterSpec(machines=1, transport="infiniband")
+    # NaN jitter would clamp every op to 5% of its duration, and inf
+    # would end in a raw SimulationError mid-run.
+    for jitter in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            ClusterSpec(machines=1, compute_jitter=jitter)
 
 
 def test_pytorch_requires_allreduce():
