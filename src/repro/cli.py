@@ -24,6 +24,7 @@ import sys
 from typing import List, Optional
 
 from repro._version import __version__
+from repro.errors import ConfigError, FaultPlanError, SchedulerError
 from repro.units import MB
 
 __all__ = ["main", "build_parser"]
@@ -239,7 +240,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     recovery_spec = None
     membership_spec = None
     if args.fault_plan:
-        from repro.errors import FaultPlanError
         from repro.faults import FaultPlan
 
         try:
@@ -397,7 +397,6 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
         cache_dir = parallel.default_cache_dir()
     shard = None
     if getattr(args, "shard", None):
-        from repro.errors import ConfigError
         from repro.experiments.stealing import ShardSpec
 
         try:
@@ -617,7 +616,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         "trace": _cmd_trace,
         "models": _cmd_models,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except (ConfigError, SchedulerError) as error:
+        if args.command not in ("run", "tune"):
+            raise
+        # A knob or cluster shape the simulator rejects: a usage error.
+        print(f"invalid configuration: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

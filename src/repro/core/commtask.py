@@ -46,10 +46,14 @@ class TaskState(enum.Enum):
 class SubCommTask:
     """One partition of a CommTask — the unit Algorithm 1 schedules."""
 
-    __slots__ = ("parent", "index", "size", "state")
+    __slots__ = ("parent", "task_name", "index", "size", "state")
 
     def __init__(self, parent: "CommTask", index: int, size: float) -> None:
-        self.parent = parent
+        #: The owning task, until every partition of it has finished;
+        #: then None, so the finished task and its partitions form no
+        #: reference cycle.
+        self.parent: Optional["CommTask"] = parent
+        self.task_name = parent.name
         self.index = index
         self.size = size
         self.state = TaskState.CREATED
@@ -81,7 +85,7 @@ class SubCommTask:
 
     def __repr__(self) -> str:
         return (
-            f"<SubCommTask {self.parent.name}[{self.index}] "
+            f"<SubCommTask {self.task_name}[{self.index}] "
             f"{self.size:.0f}B {self.state.value}>"
         )
 
@@ -125,7 +129,7 @@ class CommTask:
         """
         if self.subtasks:
             raise SchedulerError(f"{self.name} already partitioned")
-        if unit is not None and unit <= 0:
+        if unit is not None and not unit > 0:  # also rejects NaN
             raise SchedulerError(f"partition unit must be > 0, got {unit!r}")
         if unit is None or self.size <= unit:
             count = 1
@@ -155,7 +159,9 @@ class CommTask:
         subtask.state = TaskState.FINISHED
         self._finished_count += 1
         if self._finished_count == len(self.subtasks):
-            self.finished.succeed(self)
+            for part in self.subtasks:
+                part.parent = None
+            self.finished.succeed()
 
     @property
     def is_finished(self) -> bool:

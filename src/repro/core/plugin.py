@@ -144,8 +144,10 @@ class VanillaAdapter(Adapter):
     """The unmodified framework: FIFO dispatch, true barrier waits."""
 
     def post_comm(self, iteration, layer, bp_op, task, countdown):
+        party = self.party
+
         def _launch():
-            countdown.arrive(self.party)
+            countdown.arrive(party)
             return task.finished
 
         op = self.engine.post(
@@ -183,7 +185,7 @@ class ByteSchedulerAdapter(Adapter):
                 self._label(iteration, layer, "ready"),
                 OpKind.PROXY,
                 deps=[bp_op],
-                on_start=lambda c=countdown: c.arrive(self.party),
+                on_start=lambda c=countdown, p=self.party: c.arrive(p),
             )
         )
         self._tasks[(iteration, layer)] = task

@@ -104,9 +104,10 @@ class ByteSchedulerCore:
     ) -> None:
         if priority_mode not in (PRIORITY_LAYER, PRIORITY_FIFO):
             raise SchedulerError(f"unknown priority mode {priority_mode!r}")
-        if credit_bytes <= 0:
+        # ``not x > 0`` also rejects NaN; inf stays legal.
+        if not credit_bytes > 0:
             raise SchedulerError(f"credit must be > 0, got {credit_bytes!r}")
-        if partition_bytes is not None and partition_bytes <= 0:
+        if partition_bytes is not None and not partition_bytes > 0:
             raise SchedulerError(
                 f"partition size must be > 0, got {partition_bytes!r}"
             )
@@ -119,7 +120,7 @@ class ByteSchedulerCore:
         #: unit ("we may use different partition and credit sizes for
         #: different layers in the DNN").
         self.partition_overrides = dict(partition_overrides or {})
-        if any(value <= 0 for value in self.partition_overrides.values()):
+        if not all(value > 0 for value in self.partition_overrides.values()):
             raise SchedulerError("partition overrides must be > 0")
         self.credit_capacity = float(credit_bytes)
         self.priority_mode = priority_mode
@@ -252,12 +253,14 @@ class ByteSchedulerCore:
         and recovers as the in-flight partitions finish.
         """
         if partition_bytes is not None:
-            if partition_bytes <= 0:
-                raise SchedulerError("partition size must be > 0")
+            if not partition_bytes > 0:
+                raise SchedulerError(
+                    f"partition size must be > 0, got {partition_bytes!r}"
+                )
             self.partition_bytes = partition_bytes
         if credit_bytes is not None:
-            if credit_bytes <= 0:
-                raise SchedulerError("credit must be > 0")
+            if not credit_bytes > 0:
+                raise SchedulerError(f"credit must be > 0, got {credit_bytes!r}")
             self.credit_capacity = float(credit_bytes)
             if self._obs is not None:
                 self._obs.credit_used.set(self._credit_used())

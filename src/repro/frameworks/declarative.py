@@ -45,7 +45,25 @@ class DeclarativeEngine(Engine):
         else:
             yield from self._run_op_body(op)
         op.finished_at = self.env.now
-        op.done.succeed(op)
+        op.done.succeed()
+
+    def _run_op_body(self, op: EngineOp):
+        """Generator executing an op's action (after deps, off-GPU part)."""
+        if op.kind is OpKind.COMPUTE:
+            duration = op.duration
+            if self.compute_scale is not None:
+                duration = self.compute_scale(self.env.now, duration)
+            if duration > 0:
+                yield self.env.timeout(duration)
+        elif op.kind is OpKind.COMM:
+            completion = op.launch()
+            if not op.async_launch and completion is not None:
+                yield completion
+        elif op.kind is OpKind.PROXY:
+            if op.on_start is not None:
+                op.on_start()
+            if op.release is not None and not op.release.processed:
+                yield op.release
 
 
 class MXNetEngine(DeclarativeEngine):

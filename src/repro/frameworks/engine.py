@@ -164,28 +164,5 @@ class Engine:
     def _accept(self, op: EngineOp) -> None:
         raise NotImplementedError
 
-    # -- shared op body -----------------------------------------------------
-
-    def _run_op_body(self, op: EngineOp):
-        """Generator executing an op's action (after deps, off-GPU part)."""
-        if op.kind is OpKind.COMPUTE:
-            duration = op.duration
-            if self.compute_scale is not None:
-                duration = self.compute_scale(self.env.now, duration)
-            if duration > 0:
-                yield self.env.timeout(duration)
-        elif op.kind is OpKind.COMM:
-            completion = op.launch()
-            if not op.async_launch and completion is not None:
-                yield completion
-        elif op.kind is OpKind.PROXY:
-            if op.on_start is not None:
-                op.on_start()
-            if op.release is not None and not op.release.processed:
-                yield op.release
-        elif op.kind is OpKind.BARRIER:
-            pass  # deps were awaited by the engine already
-        return None
-
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name} ops={self.ops_posted}>"

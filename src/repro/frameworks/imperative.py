@@ -8,23 +8,25 @@ ByteScheduler's forward pre-hooks gate each layer (§3.4, "we also add
 hooks to forward propagation ... so that forward computation of each
 layer will not start until the all-reduce of this layer is completed").
 
-The FIFO is a plain :class:`collections.deque` plus at most one parked
-getter event.  The driver asks for its next op with an event that has
-already succeeded when the deque holds one, and otherwise parks that
-event until the next post succeeds it.  This keeps the same-instant
-order of a driver fed by the kernel's generic FIFO buffer
-(:mod:`repro.sim.resources`): the getter is triggered at the same
-moment as that buffer's get event would be, with no other kernel entry
-scheduled in between, so it keeps its place among every other
-same-instant entry and whole trajectories are unchanged.  What the
-deque saves is the buffer's per-post put event, which has no callbacks
-and which nothing waits on, and its list shuffling.
+The driver is a chain of kernel callbacks, not a process.  Posted ops
+wait in a plain :class:`collections.deque`; each next op reaches the
+driver through one :meth:`~repro.sim.Environment.defer` entry, and the
+driver then finishes it on the kernel entry that ends it (a compute
+delay, a proxy's release, a barrier's dependencies).  The hand-off is
+scheduled at the same moment, and takes the same single sequence
+number, as the get event of a driver process fed by the kernel's
+generic FIFO buffer (:mod:`repro.sim.resources`), so every same-instant
+tie resolves as it did there and whole trajectories are unchanged.
+
+An idle driver holds nothing: no parked event, no suspended generator.
+So nothing in the engine points back at it once its last op is done,
+and a finished job is freed by reference counting.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional
+from typing import Deque
 
 from repro.frameworks.engine import Engine, EngineOp, OpKind
 from repro.sim import Environment, Event
@@ -32,12 +34,29 @@ from repro.sim import Environment, Event
 __all__ = ["ImperativeEngine", "PyTorchEngine"]
 
 
+def _reraise(exc: BaseException) -> None:
+    """Deferred callback: surface ``exc`` from ``env.run()``."""
+    raise exc
+
+
+def _completer(op: EngineOp):
+    """Callback finishing a launched COMM op when its transfer lands."""
+
+    def _on_complete(event: Event) -> None:
+        op.finished_at = event.env.now
+        op.done.succeed()
+
+    return _on_complete
+
+
 class ImperativeEngine(Engine):
     """Single-driver sequential executor.
 
-    Posted ops wait in ``_posted`` until the driver takes them; while
-    the driver waits for work, ``_getter`` holds the event it is parked
-    on and the next post hands the op to it directly.
+    Posted ops wait in ``_posted`` while the driver is ``_busy`` (an op
+    is on its way to it or running); a post to an idle driver hands the
+    op over directly.  A failed release or barrier dependency stops the
+    driver for good, and its exception propagates out of ``env.run()``
+    one kernel entry later at the same instant.
     """
 
     style = "imperative"
@@ -45,58 +64,81 @@ class ImperativeEngine(Engine):
     def __init__(self, env: Environment, name: str = "imperative") -> None:
         super().__init__(env, name)
         self._posted: Deque[EngineOp] = deque()
-        self._getter: Optional[Event] = None
-        self._driver = env.process(self._run())
+        # Busy until the kick-off entry runs, as a driver process would
+        # be until its first resumption.
+        self._busy = True
+        env.defer(self._advance)
 
     def _accept(self, op: EngineOp) -> None:
-        getter = self._getter
-        if getter is None:
+        if self._busy:
             self._posted.append(op)
         else:
-            self._getter = None
-            getter.succeed(op)
+            self._busy = True
+            self.env.defer(self._start, op)
 
-    def _next(self) -> Event:
-        """Event carrying the next posted op, in post order."""
-        event = Event(self.env)
+    def _advance(self, _arg=None) -> None:
+        """Hand the driver its next posted op, or let it go idle."""
         if self._posted:
-            event.succeed(self._posted.popleft())
+            self.env.defer(self._start, self._posted.popleft())
         else:
-            self._getter = event
-        return event
+            self._busy = False
 
-    def _run(self):
-        while True:
-            op: EngineOp = yield self._next()
-            if self.halted:
-                continue  # the worker died; drain without executing
-            op.started_at = self.env.now
-            if op.kind is OpKind.COMM:
-                # Launch asynchronously; the driver moves straight on.
-                completion = op.launch()
-                if op.async_launch or completion is None:
-                    op.finished_at = self.env.now
-                    op.done.succeed(op)
-                else:
-                    completion.callbacks.append(self._completer(op))
-                continue
-            if op.kind is OpKind.BARRIER:
-                deps = op.dep_events()
-                if deps:
-                    yield self.env.all_of(deps)
+    def _start(self, op: EngineOp) -> None:
+        """Run ``op`` on the driver (its hand-off entry just fired)."""
+        if self.halted:
+            self._advance()  # the worker died; drain without executing
+            return
+        env = self.env
+        op.started_at = env.now
+        kind = op.kind
+        if kind is OpKind.COMPUTE:
+            duration = op.duration
+            if self.compute_scale is not None:
+                duration = self.compute_scale(env.now, duration)
+            if duration > 0:
+                env.defer(self._finish, op, duration)
+                return
+        elif kind is OpKind.COMM:
+            # Launch asynchronously; the driver moves straight on.
+            completion = op.launch()
+            if op.async_launch or completion is None:
+                op.finished_at = env.now
+                op.done.succeed()
             else:
-                # COMPUTE blocks for its duration; PROXY blocks on its
-                # release event (a hook executing on the driver).
-                yield from self._run_op_body(op)
-            op.finished_at = self.env.now
-            op.done.succeed(op)
+                completion.callbacks.append(_completer(op))
+            self._advance()
+            return
+        elif kind is OpKind.PROXY:
+            # A hook executing on the driver: blocks it until released.
+            if op.on_start is not None:
+                op.on_start()
+            release = op.release
+            if release is not None and not release.processed:
+                self._finish_when(release, op)
+                return
+        else:  # BARRIER: blocks the driver until its deps are done
+            deps = op.dep_events()
+            if deps:
+                self._finish_when(env.all_of(deps), op)
+                return
+        self._finish(op)
 
-    def _completer(self, op: EngineOp):
-        def _on_complete(_evt) -> None:
-            op.finished_at = self.env.now
-            op.done.succeed(op)
+    def _finish_when(self, event: Event, op: EngineOp) -> None:
+        """Finish ``op`` once ``event`` fires; if it fails, stop."""
 
-        return _on_complete
+        def _fired(event: Event) -> None:
+            if event._ok:
+                self._finish(op)
+            else:
+                event.defused = True
+                self.env.defer(_reraise, event._value)
+
+        event.callbacks.append(_fired)
+
+    def _finish(self, op: EngineOp) -> None:
+        op.finished_at = self.env.now
+        op.done.succeed()
+        self._advance()
 
 
 class PyTorchEngine(ImperativeEngine):

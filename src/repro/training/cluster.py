@@ -324,15 +324,14 @@ class SchedulerSpec:
                 "scheduler kind must be fifo/p3/bytescheduler/fusion/dear, "
                 f"got {self.kind!r}"
             )
-        if self.dear_fusion_bytes is not None and self.dear_fusion_bytes <= 0:
-            raise ConfigError("dear_fusion_bytes must be > 0")
-        if self.partition_bytes is not None and self.partition_bytes <= 0:
-            raise ConfigError("partition_bytes must be > 0")
-        if self.credit_bytes is not None and self.credit_bytes <= 0:
-            raise ConfigError("credit_bytes must be > 0")
+        for knob in ("dear_fusion_bytes", "partition_bytes", "credit_bytes"):
+            value = getattr(self, knob)
+            # ``not x > 0`` also rejects NaN; inf stays legal.
+            if value is not None and not value > 0:
+                raise ConfigError(f"{knob} must be > 0, got {value!r}")
         if self.partition_overrides is not None:
             for layer, value in self.partition_overrides:
-                if layer < 0 or value <= 0:
+                if layer < 0 or not value > 0:
                     raise ConfigError(
                         f"invalid partition override ({layer}, {value})"
                     )

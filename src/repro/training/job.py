@@ -176,7 +176,8 @@ class TrainingJob:
     def _attach_metrics(self, metrics) -> None:
         """Bind the registry's clock and wire instruments into the
         cores, the backend, and the per-iteration sampler state."""
-        metrics.bind_clock(lambda: self.env.now)
+        env = self.env
+        metrics.bind_clock(lambda: env.now)
         for core in self._unique_cores():
             if hasattr(core, "attach_metrics"):
                 core.attach_metrics(metrics)

@@ -1,5 +1,6 @@
 """Unit tests for Algorithm 1 (priority queue + credit-based preemption)."""
 
+import math
 
 import pytest
 
@@ -254,6 +255,19 @@ def test_invalid_configs_rejected():
         ByteSchedulerCore(env, backend, partition_bytes=-1.0)
     with pytest.raises(SchedulerError):
         ByteSchedulerCore(env, backend, notify_delay=-0.1)
+    nan = float("nan")
+    with pytest.raises(SchedulerError):
+        ByteSchedulerCore(env, backend, credit_bytes=nan)
+    with pytest.raises(SchedulerError):
+        ByteSchedulerCore(env, backend, partition_bytes=nan)
+    with pytest.raises(SchedulerError):
+        ByteSchedulerCore(env, backend, partition_overrides={0: nan})
+    core = ByteSchedulerCore(env, backend, partition_bytes=math.inf)
+    for knobs in ({"partition_bytes": nan}, {"credit_bytes": nan}):
+        with pytest.raises(SchedulerError):
+            core.reconfigure(**knobs)
+    assert core.partition_bytes == math.inf
+    assert core.credit_capacity == math.inf
 
 
 def test_stats_counters():

@@ -10,10 +10,15 @@ pass.
 The property test replays random programs on the engine and on
 :class:`StoreDrivenEngine`, a copy of that Store-backed driver kept only
 as the oracle, and requires identical per-op timings and an identical
-global order of observable firings.
+global order of observable firings.  The failure tests hold the engine
+to the same oracle when a release, a completion or a barrier
+dependency fails: the same exception from ``env.run()``, raised by the
+same kernel entry.
 """
 
+import gc
 import hashlib
+from collections import deque
 
 import pytest
 from hypothesis import example, given, settings
@@ -100,6 +105,28 @@ class StoreDrivenEngine(Engine):
     def _finish(self, op: EngineOp) -> None:
         op.finished_at = self.env.now
         op.done.succeed(op)
+
+    def _run_op_body(self, op: EngineOp):
+        """The op body both engines once shared (the declarative engine
+        keeps its own copy)."""
+        if op.kind is OpKind.COMPUTE:
+            duration = op.duration
+            if self.compute_scale is not None:
+                duration = self.compute_scale(self.env.now, duration)
+            if duration > 0:
+                yield self.env.timeout(duration)
+        elif op.kind is OpKind.COMM:
+            completion = op.launch()
+            if not op.async_launch and completion is not None:
+                yield completion
+        elif op.kind is OpKind.PROXY:
+            if op.on_start is not None:
+                op.on_start()
+            if op.release is not None and not op.release.processed:
+                yield op.release
+        elif op.kind is OpKind.BARRIER:
+            pass  # deps were awaited by the engine already
+        return None
 
 
 # -- random programs ------------------------------------------------------------
@@ -212,6 +239,11 @@ def _compute(name, duration):
     return EngineOp(name, OpKind.COMPUTE, duration=duration)
 
 
+def _queued(op):
+    """True while a FIFO (a deque) still holds ``op``."""
+    return any(isinstance(ref, deque) for ref in gc.get_referrers(op))
+
+
 def test_halt_abandons_pending_and_later_ops():
     env = Environment()
     engine = PyTorchEngine(env)
@@ -220,6 +252,7 @@ def test_halt_abandons_pending_and_later_ops():
     env.run(until=0.5)
     engine.halt()
     late = engine.post(_compute("late", 1.0))
+    assert _queued(late)
     env.run()  # must return: nothing the driver waits on is scheduled
     assert env.now == pytest.approx(1.0)
     assert running.finished_at == pytest.approx(1.0)
@@ -227,17 +260,74 @@ def test_halt_abandons_pending_and_later_ops():
     for op in (pending, late):
         assert op.started_at is None
         assert not op.done.triggered
-    assert engine._driver.is_alive
+        assert not _queued(op)  # the halted driver drained it
+    assert not env._pending()
 
 
 def test_halted_idle_driver_drains_without_running():
     env = Environment()
     engine = PyTorchEngine(env)
-    env.run()  # the driver parks waiting for work
+    env.run()  # the driver goes idle waiting for work
     engine.halt()
     ops = [engine.post(_compute(f"op{i}", 1.0)) for i in range(3)]
     env.run()
     assert env.now == 0.0
     assert all(op.started_at is None and not op.done.triggered for op in ops)
-    assert engine._driver.is_alive
+    assert not any(_queued(op) for op in ops)
     assert not env._pending()
+
+
+# -- failures ----------------------------------------------------------------------
+
+
+class _Boom(Exception):
+    pass
+
+
+def _failing_run(engine_cls, kind):
+    """Block ``kind`` on an event that fails at t=1, with compute ops
+    before and after it; return what both drivers must agree on."""
+    env = Environment()
+    engine = engine_cls(env)
+    trouble = env.event()
+    boom = _Boom(kind)
+    log = []
+    if kind == "proxy":
+        blocked = EngineOp("blocked", OpKind.PROXY, release=trouble)
+    elif kind == "comm":
+        blocked = EngineOp("blocked", OpKind.COMM, launch=lambda: trouble)
+    else:
+        blocked = EngineOp("blocked", OpKind.BARRIER, deps=[trouble])
+    ops = [_compute("before", 0.5), blocked, _compute("after", 1.0)]
+    for op in ops:
+        engine.post(op)
+        op.done.callbacks.append(lambda _evt, name=op.name: log.append((name, env.now)))
+
+    def failer():
+        yield env.timeout(1.0)
+        trouble.fail(boom)
+        # Same-instant entries queued behind the failure, to pin down
+        # which kernel entry raises it.
+        for step in range(3):
+            yield env.timeout(0.0)
+            log.append((f"failer{step}", env.now))
+
+    env.process(failer())
+    with pytest.raises(_Boom) as raised:
+        env.run()
+    assert raised.value is boom
+    raised = (env.now, list(log))
+    env.run()  # the rest of the run, after the caller handled the failure
+    return raised, env.now, [(op.name, op.started_at, op.finished_at) for op in ops], log
+
+
+@pytest.mark.parametrize("kind", ["proxy", "comm", "barrier"])
+def test_failure_surfaces_like_store_driven_engine(kind):
+    outcome = _failing_run(PyTorchEngine, kind)
+    assert outcome == _failing_run(StoreDrivenEngine, kind)
+    (raised_at, _logged), _end, timings, _log = outcome
+    assert raised_at == 1.0
+    if kind != "comm":
+        # The failed wait stops the driver: the op it blocked never
+        # finishes and nothing behind it starts.
+        assert timings[1:] == [("blocked", 0.5, None), ("after", None, None)]

@@ -130,6 +130,29 @@ def test_run_rejects_malformed_fault_plan(capsys):
     assert "clause 2" in captured.err and "warp" in captured.err
 
 
+@pytest.mark.parametrize(
+    "knob, value",
+    [("--partition-mb", "nan"), ("--partition-mb", "-1"), ("--credit-mb", "nan")],
+)
+def test_run_rejects_bad_scheduler_knobs(capsys, knob, value):
+    knobs = {"--partition-mb": "8", "--credit-mb": "32", knob: value}
+    code = main([
+        "run", "--model", "resnet50", "--machines", "2",
+        "--gpus-per-machine", "1", "--measure", "2",
+        *[part for pair in knobs.items() for part in pair],
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "invalid configuration" in captured.err and "must be > 0" in captured.err
+
+
+def test_tune_rejects_bad_cluster(capsys):
+    code = main(["tune", "--model", "resnet50", "--machines", "0", "--trials", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "invalid configuration" in captured.err
+
+
 def test_run_integrity_plan_prints_counters(capsys):
     code, out = run_cli(
         capsys,

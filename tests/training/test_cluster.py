@@ -118,6 +118,19 @@ def test_scheduler_spec_validation():
         SchedulerSpec(partition_bytes=0)
     with pytest.raises(ConfigError):
         SchedulerSpec(credit_bytes=-1)
+    # NaN compares false both ways, so a ``<= 0`` check let it through.
+    nan = float("nan")
+    for knobs in (
+        {"partition_bytes": nan},
+        {"credit_bytes": nan},
+        {"kind": "dear", "dear_fusion_bytes": nan},
+        {"kind": "dear", "dear_fusion_bytes": 0},
+        {"partition_overrides": ((0, nan),)},
+    ):
+        with pytest.raises(ConfigError):
+            SchedulerSpec(**knobs)
+    # inf stays legal: one whole-tensor partition, unbounded credit.
+    SchedulerSpec(partition_bytes=math.inf, credit_bytes=math.inf)
 
 
 def test_with_knobs():
