@@ -50,13 +50,14 @@ class RetryPolicy:
     backoff: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.timeout <= 0:
+        # ``not x > 0`` (``not x >= 1``) also rejects NaN.
+        if not self.timeout > 0:
             raise ValueError(f"retry timeout must be > 0, got {self.timeout!r}")
         if self.max_retries < 0:
             raise ValueError(
                 f"max_retries must be >= 0, got {self.max_retries!r}"
             )
-        if self.backoff < 1.0:
+        if not self.backoff >= 1.0:
             raise ValueError(f"backoff must be >= 1, got {self.backoff!r}")
 
     def attempt_timeout(self, attempt: int) -> float:
@@ -64,36 +65,70 @@ class RetryPolicy:
         return self.timeout * self.backoff**attempt
 
 
-@dataclass(frozen=True)
 class ChunkSpec:
     """Identifies one partition of one layer's tensor in one iteration.
 
     ``worker`` is ``None`` for collective backends (the chunk belongs to
-    everyone).
+    everyone).  A value object: compare and hash by its fields, and
+    treat it as immutable.  A slotted class rather than a frozen
+    dataclass, because one is built per started partition.
     """
 
-    iteration: int
-    layer: int
-    chunk_index: int
-    num_chunks: int
-    size: float
-    worker: Optional[str] = None
+    __slots__ = (
+        "iteration", "layer", "chunk_index", "num_chunks", "size", "worker", "key",
+    )
 
-    def __post_init__(self) -> None:
-        if self.size <= 0:
-            raise ValueError(f"chunk size must be > 0, got {self.size!r}")
-        if not 0 <= self.chunk_index < self.num_chunks:
+    def __init__(
+        self,
+        iteration: int,
+        layer: int,
+        chunk_index: int,
+        num_chunks: int,
+        size: float,
+        worker: Optional[str] = None,
+    ) -> None:
+        # ``not x > 0`` also rejects NaN.
+        if not size > 0:
+            raise ValueError(f"chunk size must be > 0, got {size!r}")
+        if not 0 <= chunk_index < num_chunks:
             raise ValueError(
-                f"chunk_index {self.chunk_index} outside [0, {self.num_chunks})"
+                f"chunk_index {chunk_index} outside [0, {num_chunks})"
             )
+        self.iteration = iteration
+        self.layer = layer
+        self.chunk_index = chunk_index
+        self.num_chunks = num_chunks
+        self.size = size
+        self.worker = worker
+        #: Correlation key shared by all workers' copies of this chunk.
+        self.key: Tuple[int, int, int] = (iteration, layer, chunk_index)
 
-    @property
-    def key(self) -> Tuple[int, int, int]:
-        """Correlation key shared by all workers' copies of this chunk."""
-        return (self.iteration, self.layer, self.chunk_index)
+    def _fields(self) -> tuple:
+        return (
+            self.iteration,
+            self.layer,
+            self.chunk_index,
+            self.num_chunks,
+            self.size,
+            self.worker,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not ChunkSpec:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"ChunkSpec(iteration={self.iteration!r}, layer={self.layer!r}, "
+            f"chunk_index={self.chunk_index!r}, num_chunks={self.num_chunks!r}, "
+            f"size={self.size!r}, worker={self.worker!r})"
+        )
 
 
-@dataclass(frozen=True)
 class ChunkHandle:
     """The two milestones of a chunk the scheduler cares about.
 
@@ -107,8 +142,14 @@ class ChunkHandle:
     what ``notify_finish`` reports and what forward proxies wait for.
     """
 
-    sent: Event
-    done: Event
+    __slots__ = ("sent", "done")
+
+    def __init__(self, sent: Event, done: Event) -> None:
+        self.sent = sent
+        self.done = done
+
+    def __repr__(self) -> str:
+        return f"ChunkHandle(sent={self.sent!r}, done={self.done!r})"
 
 
 class CommBackend(abc.ABC):

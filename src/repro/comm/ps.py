@@ -18,16 +18,39 @@ imbalance under whole-tensor sharding (§6.2 "PS load balancing").
 In asynchronous mode, step 2's barrier disappears: a worker's pull is
 answered right after its own push (the paper notes async speedups are
 similar, §6.1).
+
+The same life, in the callbacks that drive it.  Only the two
+milestones a :class:`~repro.comm.base.ChunkHandle` exposes are events;
+every hop in between is a plain callback:
+
+* :meth:`PSBackend.start_chunk` hands the push to :meth:`_transfer`
+  with ``_pushed`` as its delivery callback
+  (:meth:`~repro.net.Fabric.send`).
+* ``_pushed`` runs in the push's delivery entry.  It records the
+  arrival (:meth:`_on_push_delivered`), then returns sender credit:
+  ``env.defer(sent.succeed, chunk, ack_delay)``, the server's
+  acknowledgement; with a zero ack delay it runs ``sent``'s callbacks
+  in place, in the same entry.
+* Once the barrier passes, the update pipe's completion calls
+  ``_send_pulls`` (a callback on the link, no event), which sends each
+  pull with ``_on_pull_delivered`` as its delivery callback.
+* ``_on_pull_delivered`` succeeds the worker's ``done`` event.
+
+The rule that keeps trajectories exact: every hop takes one kernel
+entry, issued at the moment the hop completes (a delivery, an ack
+timer, an update completion), and runs its callbacks inside it in a
+fixed order.  Merging two hops into one entry, or splitting one, moves
+same-instant tie-breaks; ``tests/comm/test_ps_trajectory.py`` pins the
+entry count for that reason.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.errors import ConfigError, TransferAbortedError
 from repro.net import Fabric, Link, Message, Transport
-from repro.net.fabric import TransferHandle
 from repro.sim import Environment, Event
 from repro.comm.base import ChunkHandle, ChunkSpec, CommBackend, RetryPolicy
 from repro.comm.sharding import ChunkRoundRobin, ShardingStrategy
@@ -40,7 +63,6 @@ __all__ = ["PSBackend"]
 DEFAULT_UPDATE_RATE = 40 * GB
 
 
-@dataclass
 class _ChunkState:
     """Aggregation progress for one (iteration, layer, chunk).
 
@@ -56,12 +78,15 @@ class _ChunkState:
     its join.
     """
 
-    spec: ChunkSpec
-    arrived: Set[str] = field(default_factory=set)
-    pulled: Set[str] = field(default_factory=set)
-    waiters: Dict[str, Event] = field(default_factory=dict)
-    members: Set[str] = field(default_factory=set)
-    updated: bool = False
+    __slots__ = ("spec", "arrived", "pulled", "waiters", "members", "updated")
+
+    def __init__(self, spec: ChunkSpec, members: Set[str]) -> None:
+        self.spec = spec
+        self.arrived: Set[str] = set()
+        self.pulled: Set[str] = set()
+        self.waiters: Dict[str, Event] = {}
+        self.members = members
+        self.updated = False
 
 
 @dataclass
@@ -183,89 +208,96 @@ class PSBackend(CommBackend):
         return self.server_for(chunk)
 
     def start_chunk(self, chunk: ChunkSpec) -> ChunkHandle:
-        if chunk.worker not in self._workers:
-            raise ConfigError(f"unknown worker {chunk.worker!r} for chunk {chunk}")
-        done = self.env.event()
+        worker = chunk.worker
+        if worker not in self._workers:
+            raise ConfigError(f"unknown worker {worker!r} for chunk {chunk}")
+        env = self.env
+        done = Event(env)
         server = self.server_for(chunk)
-        if chunk.key in self.completed_keys:
-            # A recovered worker replaying a chunk the fleet already
-            # finished: the server answers straight from its shard, no
-            # barrier and no second optimizer update.
-            push = Message(chunk.worker, server, chunk.size, kind="push", payload=chunk)
-            handle = self._transfer(push)
-
-            def _answer(_evt: Event, worker: str = chunk.worker) -> None:
-                pull = Message(server, worker, chunk.size, kind="pull", payload=chunk)
-                self._transfer(pull).delivered.callbacks.append(
-                    lambda _e: None if done.triggered else done.succeed(chunk)
+        key = chunk.key
+        # A recovered worker replaying a chunk the fleet already
+        # finished: the server answers straight from its shard, no
+        # barrier and no second optimizer update.
+        replay = key in self.completed_keys
+        if not replay:
+            state = self._pending.get(key)
+            if state is None:
+                roster = self._iteration_rosters.get(key[0])
+                state = self._pending[key] = _ChunkState(
+                    chunk, set(roster if roster is not None else self._active)
                 )
+            if worker in state.waiters:
+                raise ConfigError(f"chunk {key} started twice by {worker}")
+            state.members.add(worker)
+            state.waiters[worker] = done
 
-            handle.delivered.callbacks.append(_answer)
-            return ChunkHandle(sent=self._acked(handle, chunk), done=done)
-
-        state = self._pending.get(chunk.key)
-        if state is None:
-            roster = self._iteration_rosters.get(chunk.key[0])
-            state = self._pending[chunk.key] = _ChunkState(
-                spec=chunk,
-                members=set(roster if roster is not None else self._active),
-            )
-        if chunk.worker in state.waiters:
-            raise ConfigError(f"chunk {chunk.key} started twice by {chunk.worker}")
-        state.members.add(chunk.worker)
-        state.waiters[chunk.worker] = done
-
-        push = Message(chunk.worker, server, chunk.size, kind="push", payload=chunk)
-        handle = self._transfer(push)
-        handle.delivered.callbacks.append(
-            lambda _evt, c=chunk, s=server: self._on_push_delivered(c, s)
-        )
-        return ChunkHandle(sent=self._acked(handle, chunk), done=done)
-
-    def _acked(self, handle: TransferHandle, chunk: ChunkSpec) -> Event:
         # Sender credit is held until the push is delivered AND the
         # server's acknowledgement returns (that is what ends a send in
         # ps-lite): with credit = one partition this degenerates to
         # stop-and-wait, idling the uplink for the remote half of each
-        # round trip — P3's inefficiency (§6.2).
-        if self.ack_delay > 0:
-            acked = self.env.event()
-            handle.delivered.callbacks.append(
-                lambda _evt: self.env.timeout(self.ack_delay).callbacks.append(
-                    lambda _e: acked.succeed(chunk)
+        # round trip — P3's inefficiency (§6.2).  A zero-delay ack
+        # returns credit inside the push's own delivery entry.
+        sent = Event(env)
+        ack_delay = self.ack_delay
+
+        def _pushed(msg: Message) -> None:
+            if replay:
+                pull = Message(server, worker, chunk.size, kind="pull", payload=chunk)
+                self._transfer(
+                    pull, lambda _msg: None if done.triggered else done.succeed(chunk)
                 )
-            )
-            return acked
-        return handle.delivered
+            else:
+                self._on_push_delivered(chunk, server)
+            if ack_delay > 0:
+                env.defer(sent.succeed, chunk, ack_delay)
+            else:
+                sent.succeed_inline(msg)
+
+        push = Message(worker, server, chunk.size, kind="push", payload=chunk)
+        self._transfer(push, _pushed)
+        return ChunkHandle(sent, done)
 
     # -- internal ----------------------------------------------------------
 
-    def _transfer(self, message: Message) -> TransferHandle:
-        """Move ``message`` through the fabric, with retry if configured.
+    def _transfer(
+        self, message: Message, on_delivered: Callable[[Message], None]
+    ) -> None:
+        """Move ``message`` through the fabric, with retry if configured,
+        and call ``on_delivered(message)`` on its first delivery.
 
-        Without a :class:`RetryPolicy` this is a plain fabric transfer.
-        With one, each attempt arms a timeout; an attempt that has not
-        delivered by its deadline is declared lost, recorded as a
-        ``timeout`` span in the trace, and retransmitted (a fresh copy
-        re-enters the FIFO links, consuming real bandwidth) with an
-        exponentially longer deadline.  The returned handle's events
-        fire on the *first* copy to reach each milestone.
+        Without a :class:`RetryPolicy` this is a plain
+        :meth:`Fabric.send`.  With one, each attempt arms a timeout; an
+        attempt that has not delivered by its deadline is declared
+        lost, recorded as a ``timeout`` span in the trace, and
+        retransmitted (a fresh copy re-enters the FIFO links, consuming
+        real bandwidth) with an exponentially longer deadline.  The
+        first copy to arrive wins: its delivery entry defers
+        ``on_delivered`` into an entry of its own, later copies are
+        ignored.  With metrics on, the hand-off → first-delivery
+        latency is observed before ``on_delivered`` runs.
         """
+        env = self.env
+        if self._obs is not None:
+            latency = self._obs.latency
+            started = env._now
+            deliver = on_delivered
+
+            def on_delivered(msg: Message) -> None:
+                latency.observe(env._now - started)
+                deliver(msg)
+
         if self.retry is None:
-            handle = self.fabric.transfer(message)
-            if self._obs is not None:
-                self._observe_latency(handle.delivered)
-            return handle
+            self.fabric.send(message, on_delivered)
+            return
         policy = self.retry
         trace = self.fabric.trace
-        sent = self.env.event()
-        delivered = self.env.event()
-        if self._obs is not None:
-            self._observe_latency(delivered)
+        delivered = False
 
-        def first(event: Event) -> None:
-            if not event.triggered:
-                event.succeed(message)
+        def first(_copy: Message) -> None:
+            nonlocal delivered
+            if not delivered:
+                delivered = True
+                env.defer(on_delivered, message)
 
         def attempt(number: int) -> None:
             if number == 0:
@@ -278,18 +310,13 @@ class PSBackend(CommBackend):
                     kind=message.kind,
                     payload=message.payload,
                 )
-            handle = self.fabric.transfer(copy)
-            handle.sent.callbacks.append(lambda _evt: first(sent))
-            handle.delivered.callbacks.append(lambda _evt: first(delivered))
-            deadline = policy.attempt_timeout(number)
-            started_at = self.env.now
-            self.env.timeout(deadline).callbacks.append(
-                lambda _evt: expire(number, started_at)
-            )
+            self.fabric.send(copy, first)
+            env.defer(expire, (number, env._now), policy.attempt_timeout(number))
 
-        def expire(number: int, started_at: float) -> None:
-            if delivered.triggered:
+        def expire(attempt_started: Tuple[int, float]) -> None:
+            if delivered:
                 return
+            number, started_at = attempt_started
             self.timeouts += 1
             if self._obs is not None:
                 self._obs.timeouts.inc()
@@ -298,7 +325,7 @@ class PSBackend(CommBackend):
                     "timeout",
                     f"{message.kind}:{message.src}->{message.dst}",
                     started_at,
-                    self.env.now,
+                    env.now,
                     attempt=number,
                     size=message.size,
                 )
@@ -313,7 +340,6 @@ class PSBackend(CommBackend):
                 self._abort(message, number + 1, started_at)
 
         attempt(0)
-        return TransferHandle(sent=sent, delivered=delivered)
 
     def _abort(self, message: Message, attempts: int, started_at: float) -> None:
         """The retry budget ran out: surface a typed abort.
@@ -342,13 +368,6 @@ class PSBackend(CommBackend):
         if not claimed:
             self.env.event().fail(error)
 
-    def _observe_latency(self, delivered: Event) -> None:
-        """Record hand-off → first-delivery latency in the histogram."""
-        started = self.env.now
-        delivered.callbacks.append(
-            lambda _evt: self._obs.latency.observe(self.env.now - started)
-        )
-
     def _barrier_met(self, state: _ChunkState) -> bool:
         """All the chunk's *live* members' pushes have arrived.
 
@@ -356,11 +375,13 @@ class PSBackend(CommBackend):
         with the currently active set: crashed/left workers are excused,
         and a worker that joined after the chunk's state formed is not
         waited on (it never trained that iteration)."""
-        return all(
-            worker in state.arrived
-            for worker in self._workers
-            if worker in self._active and worker in state.members
-        )
+        arrived = state.arrived
+        members = state.members
+        active = self._active
+        for worker in self._workers:
+            if worker in active and worker in members and worker not in arrived:
+                return False
+        return True
 
     def _on_push_delivered(self, chunk: ChunkSpec, server: str) -> None:
         state = self._pending.get(chunk.key)
@@ -405,19 +426,18 @@ class PSBackend(CommBackend):
         if state is not None:
             state.updated = True
 
-        def _send_pulls(_evt: Event = None) -> None:
+        def _send_pulls(_update: Optional[Message] = None) -> None:
             if server in self._down:
                 return  # the server died mid-update; recovery re-drives
             for worker in pullers:
                 pull = Message(server, worker, chunk.size, kind="pull", payload=chunk)
-                handle = self._transfer(pull)
-                handle.delivered.callbacks.append(
-                    lambda _e, w=worker: self._on_pull_delivered(chunk, w)
+                self._transfer(
+                    pull, lambda _msg, w=worker: self._on_pull_delivered(chunk, w)
                 )
 
         if run_update:
             update = Message(server, server, chunk.size, kind="update", payload=chunk)
-            self._update_pipes[server].transmit(update).callbacks.append(_send_pulls)
+            self._update_pipes[server].transmit(update, callback=_send_pulls)
         else:
             _send_pulls()
 

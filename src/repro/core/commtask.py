@@ -102,7 +102,7 @@ class CommTask:
         worker: Optional[str] = None,
         name: Optional[str] = None,
     ) -> None:
-        if size <= 0:
+        if not size > 0:  # also rejects NaN
             raise SchedulerError(f"task size must be > 0, got {size!r}")
         self.core = core
         self.iteration = iteration

@@ -361,20 +361,19 @@ class ByteSchedulerCore:
         self.bytes_started += subtask.size
         self.subtasks_started += 1
         handle = subtask.start()
-        handle.sent.callbacks.append(
-            lambda _evt, f=flight: self._after_delay(self._on_sent, f)
-        )
-        handle.done.callbacks.append(
-            lambda _evt, f=flight: self._after_delay(self._finish, f)
-        )
-
-    def _after_delay(self, action, flight: _Flight) -> None:
-        """Apply the framework/stack notification delay before ``action``
-        reaches the Core (zero by default)."""
-        if self.notify_delay > 0:
-            self.env.defer(action, flight, delay=self.notify_delay)
+        delay = self.notify_delay
+        if delay > 0:
+            # The framework/stack reports each milestone ``delay`` late.
+            defer = self.env.defer
+            handle.sent.callbacks.append(
+                lambda _evt: defer(self._on_sent, flight, delay)
+            )
+            handle.done.callbacks.append(
+                lambda _evt: defer(self._finish, flight, delay)
+            )
         else:
-            action(flight)
+            handle.sent.callbacks.append(lambda _evt: self._on_sent(flight))
+            handle.done.callbacks.append(lambda _evt: self._finish(flight))
 
     def _on_sent(self, flight: _Flight) -> None:
         """The sender buffer is free again: return credit (§4.2)."""

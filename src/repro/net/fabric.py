@@ -6,11 +6,17 @@ it does on a real PS deployment: a server's downlink is shared by every
 worker pushing to it, and a worker's downlink is shared by every server
 it pulls from.  Local (same-node) transfers route through a loopback
 link with the local transport model.
+
+Two entry points share one routing path.  :meth:`Fabric.transfer`
+returns a :class:`TransferHandle` with ``sent`` and ``delivered``
+events; :meth:`Fabric.send` takes a delivery callback instead and
+allocates no handle or event, which is what the per-chunk PS path
+uses.  Both fire at the same simulated time and same-instant position.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional, Union
 
 from repro.sim import Environment, Event, Trace
 from repro.net.link import Link
@@ -76,6 +82,33 @@ class TransferHandle:
         return (
             f"<TransferHandle sent={self._sent!r} delivered={self.delivered!r}>"
         )
+
+
+class _Sink:
+    """The one-shot delivery target of :meth:`Fabric.send`.
+
+    It offers the two members the fabric uses on a delivery target —
+    ``triggered`` and ``succeed`` — so :meth:`Fabric._launch` serves
+    both APIs.  Where :meth:`Fabric.transfer` succeeds an :class:`Event`
+    (one kernel entry, whose callbacks then run), ``succeed`` here
+    defers ``on_delivered(message)`` (one kernel entry at the same
+    position, running the callback directly).  The first copy to
+    arrive wins, as with an event.
+    """
+
+    __slots__ = ("env", "on_delivered", "triggered")
+
+    def __init__(
+        self, env: Environment, on_delivered: Callable[[Message], None]
+    ) -> None:
+        self.env = env
+        self.on_delivered = on_delivered
+        self.triggered = False
+
+    def succeed(self, message: Message) -> None:
+        self.triggered = True
+        self.env.defer(self.on_delivered, message)
+
 
 #: Default aggregate intra-node bandwidth (PCIe-class, no NVLink,
 #: matching the paper's testbed machines).
@@ -228,9 +261,6 @@ class Fabric:
         if self.guard is not None:
             self.guard.bump_incarnation(node)
 
-    def _node_up(self, node: str) -> bool:
-        return self._is_up is None or self._is_up(node)
-
     def _drop(self, message: Message, where: str) -> None:
         self.dropped += 1
         if self.guard is not None:
@@ -253,32 +283,64 @@ class Fabric:
         take one loopback hop.  The returned handle exposes both the
         sender-side completion and the delivery.
         """
-        if not self.has_node(message.src):
+        delivered = Event(self.env)
+        handle = TransferHandle(delivered=delivered, env=self.env)
+        self._submit(message, delivered, handle)
+        return handle
+
+    def send(
+        self, message: Message, on_delivered: Callable[[Message], None]
+    ) -> None:
+        """Move ``message`` like :meth:`transfer`, but report only the
+        delivery, by calling ``on_delivered(message)``.
+
+        The call runs in its own kernel entry, scheduled at the point
+        where :meth:`transfer` would have succeeded ``delivered``, so
+        ``send(m, f)`` fires ``f`` at the same time and same-instant
+        position as appending ``f`` to ``transfer(m).delivered`` —
+        without the handle, the event or its callbacks list.  A dropped
+        message never calls ``on_delivered``.
+        """
+        self._submit(message, _Sink(self.env, on_delivered), None)
+
+    def _submit(
+        self,
+        message: Message,
+        delivered: Union[Event, _Sink],
+        handle: Optional[TransferHandle],
+    ) -> None:
+        nics = self.nics
+        canonical = self._canonical
+        if message.src not in nics and message.src not in canonical:
             raise KeyError(f"unknown source node {message.src!r}")
-        if not self.has_node(message.dst):
+        if message.dst not in nics and message.dst not in canonical:
             raise KeyError(f"unknown destination node {message.dst!r}")
-        delivered = self.env.event()
         if self.guard is not None and message.checksum is None:
             self.guard.stamp(message)
-        handle = TransferHandle(delivered=delivered, env=self.env)
         self._launch(message, delivered, handle)
-        return handle
 
     def _launch(
         self,
         message: Message,
-        delivered: Event,
+        delivered: Union[Event, _Sink],
         handle: Optional[TransferHandle] = None,
     ) -> None:
         """Put one copy of ``message`` on the wire toward ``delivered``
         (also the NACK-retransmit re-entry point — retransmits pass no
         ``handle``; the original copy already claimed the sender-side
-        milestone)."""
-        if not self._node_up(message.src):
+        milestone).  ``delivered`` is the one-shot delivery target: an
+        :class:`Event` for :meth:`transfer`, a :class:`_Sink` for
+        :meth:`send`."""
+        is_up = self._is_up
+        if is_up is not None and not is_up(message.src):
             self._drop(message, "src")
             return
-        src = self.canonical(message.src)
-        dst = self.canonical(message.dst)
+        canonical = self._canonical
+        src = message.src
+        dst = message.dst
+        if canonical:
+            src = canonical.get(src, src)
+            dst = canonical.get(dst, dst)
         if src == dst:
             # Same machine (possibly two tenants' aliases of it): the
             # transfer never touches the NIC, only the loopback.
@@ -290,16 +352,17 @@ class Fabric:
                 self._deliver(msg, delivered)
 
             self._loopbacks[src].transmit(message, callback=_after_loopback)
-            self._maybe_duplicate(
-                message, delivered, local=True, checksum=checksum_at_switch
-            )
+            if self.dup_pending and message.uid in self.dup_pending:
+                self._duplicate(
+                    message, delivered, local=True, checksum=checksum_at_switch
+                )
             return
         self._launch_remote(message, delivered, src, dst, handle)
 
     def _launch_remote(
         self,
         message: Message,
-        delivered: Event,
+        delivered: Union[Event, _Sink],
         src: str,
         dst: str,
         handle: Optional[TransferHandle] = None,
@@ -316,7 +379,8 @@ class Fabric:
         def _after_uplink(msg: Message) -> None:
             if handle is not None:
                 handle._mark_sent(msg)
-            if not self._node_up(msg.src) or not self._node_up(msg.dst):
+            is_up = self._is_up
+            if is_up is not None and not (is_up(msg.src) and is_up(msg.dst)):
                 # The sender died mid-serialisation or the receiver is
                 # already gone: the bytes never make it off the wire.
                 self._drop(msg, "wire")
@@ -330,26 +394,28 @@ class Fabric:
             checksum_at_switch = msg.checksum
             downlink.transmit_cut_through(
                 msg,
-                available_at=self.env.now + self.hop_latency,
+                available_at=self.env._now + self.hop_latency,
                 callback=_deliver_hop,
             )
-            self._maybe_duplicate(
-                msg, delivered, local=False, checksum=checksum_at_switch
-            )
+            if self.dup_pending and msg.uid in self.dup_pending:
+                self._duplicate(
+                    msg, delivered, local=False, checksum=checksum_at_switch
+                )
 
         def _deliver_hop(msg: Message) -> None:
             self._deliver(msg, delivered)
 
         self.nics[src].uplink.transmit(message, callback=_after_uplink)
 
-    def _maybe_duplicate(
+    def _duplicate(
         self,
         message: Message,
-        delivered: Event,
+        delivered: Union[Event, _Sink],
         local: bool,
         checksum: Optional[int] = None,
     ) -> None:
-        """Inject the extra copy a link's injector drew for this uid.
+        """Inject the extra copy a link's injector drew for this uid
+        (the caller has checked that ``dup_pending`` holds it).
 
         The duplicate consumes real delivery bandwidth — it re-enters
         the destination's downlink (or loopback) behind the original —
@@ -357,8 +423,6 @@ class Fabric:
         ``checksum`` is the original's checksum as it entered the
         switch; the copy's own delivery hop rolls its own corruption.
         """
-        if not self.dup_pending or message.uid not in self.dup_pending:
-            return
         self.dup_pending.discard(message.uid)
         copy = Message(
             message.src,
@@ -393,9 +457,10 @@ class Fabric:
                 callback=_deliver_copy,
             )
 
-    def _deliver(self, message: Message, delivered: Event) -> None:
+    def _deliver(self, message: Message, delivered: Union[Event, _Sink]) -> None:
         """The delivery point: liveness, then the guard's verdict."""
-        if not self._node_up(message.dst):
+        is_up = self._is_up
+        if is_up is not None and not is_up(message.dst):
             self._drop(message, "dst")
             return
         guard = self.guard

@@ -7,23 +7,27 @@ enforced above the link, by the scheduler, before enqueueing.
 
 Implementation notes: because service is strict FIFO at a fixed rate, a
 link does not need a simulated server process; it keeps a ``busy_until``
-horizon and computes each message's completion time at enqueue.  On top
-of that the completions themselves are **batched**: completion times on
-a serial link never decrease, so the link keeps its own completion FIFO
-and each wake-up drains *every* completion due at that instant in one
-callback — equal-end frames coalesce, and callback-style consumers (the
-fabric's internal hops) ride a bare deferred tuple instead of a
-per-message :class:`Timeout` event, so the old storm of Event
-allocations (object + callbacks list + succeed machinery per hop) is
-gone.  Each frame still arms its own wake-up, deliberately: a
-single armed wake-up per link was built and benchmarked, but one kernel
-entry serving many frames occupies a *different same-instant tie-break
-position* (its sequence number is the head's, not each frame's) and
-measurably perturbed trajectories — simulated iteration times shifted
-by whole transfer slots.  Per-frame wake-ups keep every completion at
-the exact tie-break position the classic API gave it; wake-ups for
-already-drained frames find nothing due and fall through.  The
-Event-returning API is unchanged for everyone else.
+horizon and computes each message's completion time at enqueue.  A
+healthy link (no fault windows) does that arithmetic and the byte,
+message and busy-time accounting inline; only a degraded link calls
+into the fault-window helpers.  ``Transport.wire_time`` is always
+called, because :class:`~repro.net.transport.FaultyTransport` draws
+its loss and delay fates there.
+
+Completions are **batched**: completion times on a serial link never
+decrease, so the link keeps its own completion FIFO and each wake-up
+drains *every* completion due at that instant in one callback.
+Callback-style consumers (the fabric's hops, the PS update pipes) ride
+a bare deferred tuple instead of a per-message :class:`Timeout` event.
+Each frame still arms its own wake-up, at enqueue, deliberately: one
+kernel entry serving many frames occupies a *different same-instant
+tie-break position* (its sequence number is the head's, not each
+frame's), which was measured to shift simulated iteration times by
+whole transfer slots.  Per-frame wake-ups keep every completion at the
+exact tie-break position a per-message timeout would have had;
+wake-ups for already-drained frames find nothing due and fall through.
+Without a callback, :meth:`Link.transmit` returns the classic
+per-message event.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ class Link:
         transport: Transport,
         trace: Optional[Trace] = None,
     ) -> None:
-        if bandwidth <= 0:
+        if not bandwidth > 0:  # also rejects NaN
             raise ValueError(f"bandwidth must be > 0, got {bandwidth!r}")
         self.env = env
         self.name = name
@@ -60,7 +64,9 @@ class Link:
         self.trace = trace
         self._busy_until = env.now
         #: Batched completions: ``(end, callback, message)`` in FIFO
-        #: order (ends are non-decreasing — see :meth:`_enqueue`).
+        #: order.  Every enqueue sets ``busy_until = end`` and the next
+        #: end is at least ``busy_until``, so ends never decrease and
+        #: :meth:`_drain` pops strictly from the front.
         self._fifo: deque = deque()
         #: Degradation windows imposed by a fault plan: sorted, disjoint
         #: (start, end, rate_factor) triples; empty = healthy.
@@ -105,50 +111,21 @@ class Link:
             self.integrity.dup_pending.add(message.uid)
         return outcome.reorder_delay
 
-    def _service_end(self, start: float, service: float) -> float:
-        """When ``service`` seconds of full-rate work finish, given the
-        degradation windows."""
-        if not self._fault_windows:
-            return start + service
-        from repro.faults.plan import degraded_finish
-
-        return degraded_finish(start, service, self._fault_windows)
-
-    def _account(self, message: Message, start: float, serialise_end: float) -> None:
-        """Byte/message/busy-time accounting, common to both paths.
+    def _degraded(self, start: float, service: float) -> Tuple[float, float]:
+        """``(serialise_end, busy)`` for ``service`` seconds of
+        full-rate work starting at ``start`` under the degradation
+        windows.
 
         Busy time is the serialisation interval minus any blackout
         (factor-0) stall inside it: a blacked-out link holds the
         message but moves no bytes, so counting the stall as busy
-        overstated utilisation (and did so differently on the two
-        transmit paths — store-and-forward counted it, cut-through's
-        pinned tail did not exist to compare against).
+        would overstate utilisation.
         """
-        self.bytes_sent += message.size
-        self.messages_sent += 1
-        busy = serialise_end - start
-        if self._fault_windows:
-            from repro.faults.plan import blackout_time
+        from repro.faults.plan import blackout_time, degraded_finish
 
-            busy -= blackout_time(start, serialise_end, self._fault_windows)
-        self.busy_time += busy
-
-    def _enqueue(
-        self, end: float, callback: Callable[[Message], None], message: Message
-    ) -> None:
-        """File a completion on the batched FIFO and arm its wake-up —
-        a bare ``(callback, arg)`` kernel tuple, no Event.
-
-        Correctness rests on completion times never decreasing: every
-        enqueue sets ``busy_until = end`` and the next end is at least
-        ``busy_until``, so the FIFO head is always the earliest
-        completion and :meth:`_drain` can pop strictly from the front.
-        The wake-up is armed *here*, at enqueue, so it occupies the same
-        same-instant tie-break position the classic per-message timeout
-        did — see the module docstring for why that matters.
-        """
-        self._fifo.append((end, callback, message))
-        self.env.defer(self._drain, None, end - self.env._now)
+        windows = self._fault_windows
+        end = degraded_finish(start, service, windows)
+        return end, end - start - blackout_time(start, end, windows)
 
     def _drain(self, _arg: None) -> None:
         """A completion wake-up: pop and complete every frame due now.
@@ -174,17 +151,24 @@ class Link:
 
         Without ``callback`` the completion is a returned event (the
         classic API).  With one, the completion rides the link's
-        batched wake-up — no per-message event or kernel entry — and
+        batched wake-up — no per-message event — and
         ``callback(message)`` fires at the exact same simulated time.
         """
         env = self.env
         now = env._now
         message.enqueued_at = now
-        start = now if now > self._busy_until else self._busy_until
+        busy_until = self._busy_until
+        start = now if now > busy_until else busy_until
         service = self.transport.wire_time(message.size, self.bandwidth)
-        end = self._service_end(start, service)
+        if self._fault_windows:
+            end, busy = self._degraded(start, service)
+        else:
+            end = start + service
+            busy = end - start
         self._busy_until = end
-        self._account(message, start, end)
+        self.bytes_sent += message.size
+        self.messages_sent += 1
+        self.busy_time += busy
         extra = 0.0
         if self.integrity is not None:
             extra = self._integrity_delay(message, now)
@@ -205,7 +189,8 @@ class Link:
             # messages, so it cannot ride the in-order FIFO.
             env.defer(callback, message, end - now + extra)
         else:
-            self._enqueue(end, callback, message)
+            self._fifo.append((end, callback, message))
+            env.defer(self._drain, None, end - now)
         return None
 
     def transmit_cut_through(
@@ -230,15 +215,23 @@ class Link:
         service = self.transport.wire_time(message.size, self.bandwidth)
         # The service slot opens when the link frees, or just early
         # enough to end at the upstream arrival — whichever is later.
-        start = max(self._busy_until, available_at - service)
-        serialise_end = self._service_end(start, service)
-        end = max(available_at, serialise_end)
+        start = available_at - service
+        if self._busy_until > start:
+            start = self._busy_until
+        if self._fault_windows:
+            serialise_end, busy = self._degraded(start, service)
+        else:
+            serialise_end = start + service
+            busy = serialise_end - start
+        end = available_at if available_at > serialise_end else serialise_end
         self._busy_until = end
         # Busy time is the serialisation interval only: when ``end`` is
         # pinned by ``available_at`` (a backlogged link waiting on slow
         # upstream bytes), the tail [serialise_end, end] is idle wait,
-        # not transmission — counting it overstated utilisation.
-        self._account(message, start, serialise_end)
+        # not transmission.
+        self.bytes_sent += message.size
+        self.messages_sent += 1
+        self.busy_time += busy
         extra = 0.0
         if self.integrity is not None:
             extra = self._integrity_delay(message, now)
@@ -260,7 +253,10 @@ class Link:
             # A past ``end`` (available_at already elapsed on an idle
             # link) means every earlier completion has drained, so
             # clamping to now keeps the FIFO ends non-decreasing.
-            self._enqueue(end if end > now else now, callback, message)
+            if end < now:
+                end = now
+            self._fifo.append((end, callback, message))
+            env.defer(self._drain, None, end - now)
         return None
 
     def reset_counters(self) -> None:

@@ -58,7 +58,7 @@ class Message:
         epoch: Optional[int] = None,
         duplicate: bool = False,
     ) -> None:
-        if size < 0:
+        if not size >= 0:  # also rejects NaN
             raise ValueError(f"message size must be >= 0, got {size!r}")
         self.src = src
         self.dst = dst

@@ -26,7 +26,7 @@ from repro.net.fabric import DEFAULT_LOCAL_BANDWIDTH, Fabric
 from repro.net.link import Link
 from repro.net.message import Message
 from repro.net.transport import Transport
-from repro.sim import Environment, Event, Trace
+from repro.sim import Environment, Trace
 
 __all__ = ["TopologySpec", "HierarchicalFabric"]
 
@@ -135,7 +135,7 @@ class HierarchicalFabric(Fabric):
     def _launch_remote(
         self,
         message: Message,
-        delivered: Event,
+        delivered,
         src: str,
         dst: str,
         handle=None,
@@ -153,7 +153,8 @@ class HierarchicalFabric(Fabric):
         def _after_nic_up(msg: Message) -> None:
             if handle is not None:
                 handle._mark_sent(msg)
-            if not self._node_up(msg.src) or not self._node_up(msg.dst):
+            is_up = self._is_up
+            if is_up is not None and not (is_up(msg.src) and is_up(msg.dst)):
                 self._drop(msg, "wire")
                 return
             # Forge any injected duplicate from the frame as the ToR
@@ -161,30 +162,33 @@ class HierarchicalFabric(Fabric):
             checksum_at_switch = msg.checksum
             rack_up.transmit_cut_through(
                 msg,
-                available_at=self.env.now + self.hop_latency,
+                available_at=self.env._now + self.hop_latency,
                 callback=_after_rack_up,
             )
-            self._maybe_duplicate(
-                msg, delivered, local=False, checksum=checksum_at_switch
-            )
+            if self.dup_pending and msg.uid in self.dup_pending:
+                self._duplicate(
+                    msg, delivered, local=False, checksum=checksum_at_switch
+                )
 
         def _after_rack_up(msg: Message) -> None:
-            if not self._node_up(msg.dst):
+            is_up = self._is_up
+            if is_up is not None and not is_up(msg.dst):
                 self._drop(msg, "spine")
                 return
             rack_down.transmit_cut_through(
                 msg,
-                available_at=self.env.now + self.hop_latency,
+                available_at=self.env._now + self.hop_latency,
                 callback=_after_rack_down,
             )
 
         def _after_rack_down(msg: Message) -> None:
-            if not self._node_up(msg.dst):
+            is_up = self._is_up
+            if is_up is not None and not is_up(msg.dst):
                 self._drop(msg, "rack")
                 return
             downlink.transmit_cut_through(
                 msg,
-                available_at=self.env.now + self.hop_latency,
+                available_at=self.env._now + self.hop_latency,
                 callback=_deliver_hop,
             )
 

@@ -75,9 +75,10 @@ class Transport:
 
         ``bandwidth`` is the physical link speed in bytes/second.
         """
-        if size < 0:
+        # ``not x >= 0`` / ``not x > 0`` also reject NaN.
+        if not size >= 0:
             raise ValueError(f"size must be >= 0, got {size!r}")
-        if bandwidth <= 0:
+        if not bandwidth > 0:
             raise ValueError(f"bandwidth must be > 0, got {bandwidth!r}")
         return size / (bandwidth * self.efficiency) + self.overhead
 

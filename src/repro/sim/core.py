@@ -109,6 +109,24 @@ class Event:
         self.env._schedule(self)
         return self
 
+    def succeed_inline(self, value: Any = None) -> None:
+        """Succeed with ``value`` and run the callbacks right now.
+
+        For a caller that already runs inside the kernel entry this
+        event would have been scheduled into: the callbacks run where
+        they would have, and no sequence number is consumed.  Used
+        when two milestones coincide (a zero-delay acknowledgement
+        returns credit in the very entry that delivered the push).
+        """
+        if self._value is not PENDING:
+            raise SimulationError(f"{self!r} already triggered")
+        self._ok = True
+        self._value = value
+        callbacks = self.callbacks
+        self.callbacks = None
+        for callback in callbacks:
+            callback(self)
+
     def fail(self, exception: BaseException) -> "Event":
         """Trigger the event with an exception.
 

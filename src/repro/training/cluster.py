@@ -113,9 +113,14 @@ class ClusterSpec:
             raise ConfigError(
                 f"gpus_per_machine must be >= 1, got {self.gpus_per_machine}"
             )
-        if self.bandwidth_gbps <= 0:
+        # Chained comparisons against inf also reject NaN.
+        if not 0 < self.bandwidth_gbps < math.inf:
             raise ConfigError(
-                f"bandwidth_gbps must be > 0, got {self.bandwidth_gbps}"
+                f"bandwidth_gbps must be finite and > 0, got {self.bandwidth_gbps}"
+            )
+        if not 0 < self.local_bandwidth < math.inf:
+            raise ConfigError(
+                f"local_bandwidth must be finite and > 0, got {self.local_bandwidth}"
             )
         if self.arch not in ("ps", "allreduce"):
             raise ConfigError(f"arch must be 'ps' or 'allreduce', got {self.arch!r}")
@@ -125,12 +130,14 @@ class ClusterSpec:
             raise ConfigError(
                 f"compute_jitter must be finite and >= 0, got {self.compute_jitter!r}"
             )
-        if self.retry_timeout is not None and self.retry_timeout <= 0:
+        if self.retry_timeout is not None and not 0 < self.retry_timeout < math.inf:
             raise ConfigError(
-                f"retry_timeout must be > 0, got {self.retry_timeout}"
+                f"retry_timeout must be finite and > 0, got {self.retry_timeout}"
             )
-        if self.retry_backoff < 1.0:
-            raise ConfigError(f"retry_backoff must be >= 1, got {self.retry_backoff}")
+        if not 1.0 <= self.retry_backoff < math.inf:
+            raise ConfigError(
+                f"retry_backoff must be finite and >= 1, got {self.retry_backoff}"
+            )
         if self.max_retries < 0:
             raise ConfigError(f"max_retries must be >= 0, got {self.max_retries}")
         if self.framework == "pytorch" and self.arch == "ps":

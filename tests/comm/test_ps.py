@@ -156,6 +156,20 @@ def test_chunkspec_validation():
         ChunkSpec(0, 0, 0, 1, 0.0, "w0")  # zero size
     with pytest.raises(ValueError):
         ChunkSpec(0, 0, 3, 2, 1.0, "w0")  # index out of range
+    with pytest.raises(ValueError):
+        ChunkSpec(0, 0, 0, 1, float("nan"), "w0")
+
+
+def test_chunkspec_is_a_value():
+    chunk = ChunkSpec(1, 2, 0, 2, 5.0, "w0")
+    assert chunk.key == (1, 2, 0)
+    assert chunk == ChunkSpec(1, 2, 0, 2, 5.0, worker="w0")
+    assert chunk != ChunkSpec(1, 2, 0, 2, 5.0, worker="w1")
+    assert len({chunk, ChunkSpec(1, 2, 0, 2, 5.0, "w0")}) == 1
+    assert repr(chunk) == (
+        "ChunkSpec(iteration=1, layer=2, chunk_index=0, num_chunks=2, "
+        "size=5.0, worker='w0')"
+    )
 
 
 def test_duplex_pipelining_two_chunks_faster_than_double():

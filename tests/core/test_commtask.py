@@ -63,6 +63,8 @@ def test_zero_size_task_rejected():
     core = make_core(env)
     with pytest.raises(SchedulerError):
         CommTask(core, 0, 0, 0.0)
+    with pytest.raises(SchedulerError):
+        CommTask(core, 0, 0, float("nan"))
 
 
 def test_notify_ready_before_partition_rejected():

@@ -23,6 +23,10 @@ def test_retry_policy_validation_and_backoff():
         RetryPolicy(timeout=0.01, max_retries=-1)
     with pytest.raises(ValueError):
         RetryPolicy(timeout=0.01, backoff=0.5)
+    with pytest.raises(ValueError):
+        RetryPolicy(timeout=float("nan"))
+    with pytest.raises(ValueError):
+        RetryPolicy(timeout=0.01, backoff=float("nan"))
 
 
 def make_ps(env, retry, trace=None):

@@ -133,11 +133,15 @@ def test_invalid_bandwidth_rejected():
     env = Environment()
     with pytest.raises(ValueError):
         make_link(env, bandwidth=0.0)
+    with pytest.raises(ValueError):
+        make_link(env, bandwidth=float("nan"))
 
 
 def test_message_negative_size_rejected():
     with pytest.raises(ValueError):
         Message("a", "b", -5.0)
+    with pytest.raises(ValueError):
+        Message("a", "b", float("nan"))
 
 
 def test_message_records_enqueue_time():

@@ -57,11 +57,15 @@ def test_invalid_efficiency_rejected(efficiency):
 def test_negative_size_rejected():
     with pytest.raises(ValueError):
         TCPTransport().wire_time(-1, gbps(1))
+    with pytest.raises(ValueError):
+        TCPTransport().wire_time(float("nan"), gbps(1))
 
 
 def test_nonpositive_bandwidth_rejected():
     with pytest.raises(ValueError):
         TCPTransport().wire_time(1, 0)
+    with pytest.raises(ValueError):
+        TCPTransport().wire_time(1, float("nan"))
 
 
 def test_gbps_round_trip():

@@ -114,6 +114,27 @@ def test_event_succeed_wakes_waiter():
     assert log == [(5.0, "open")]
 
 
+def test_succeed_inline_runs_callbacks_in_the_current_entry():
+    env = Environment()
+    gate = env.event()
+    log = []
+    gate.callbacks.append(lambda event: log.append(("callback", env.now, event.value)))
+
+    def opener(_arg):
+        eid = env._eid
+        gate.succeed_inline("open")
+        # The callbacks ran before succeed_inline returned, and it
+        # consumed no sequence number.
+        log.append(("opener", env._eid - eid))
+
+    env.defer(opener, None, 5.0)
+    env.run()
+    assert log == [("callback", 5.0, "open"), ("opener", 0)]
+    assert gate.processed and gate.value == "open"
+    with pytest.raises(SimulationError):
+        gate.succeed_inline("again")
+
+
 def test_event_cannot_trigger_twice():
     env = Environment()
     gate = env.event()

@@ -146,6 +146,25 @@ def test_run_rejects_bad_scheduler_knobs(capsys, knob, value):
     assert "invalid configuration" in captured.err and "must be > 0" in captured.err
 
 
+@pytest.mark.parametrize(
+    "flags, field",
+    [
+        (("--bandwidth", "nan"), "bandwidth_gbps"),
+        (("--bandwidth", "inf"), "bandwidth_gbps"),
+        (("--retry-timeout-ms", "nan"), "retry_timeout"),
+        (("--retry-timeout-ms", "20", "--retry-backoff", "nan"), "retry_backoff"),
+    ],
+)
+def test_run_rejects_non_finite_network_knobs(capsys, flags, field):
+    code = main([
+        "run", "--model", "resnet50", "--machines", "2",
+        "--gpus-per-machine", "1", "--measure", "2", *flags,
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "invalid configuration" in captured.err and field in captured.err
+
+
 def test_tune_rejects_bad_cluster(capsys):
     code = main(["tune", "--model", "resnet50", "--machines", "0", "--trials", "1"])
     captured = capsys.readouterr()

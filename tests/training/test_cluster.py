@@ -45,6 +45,21 @@ def test_validation():
     for jitter in (-0.1, float("nan"), float("inf")):
         with pytest.raises(ConfigError):
             ClusterSpec(machines=1, compute_jitter=jitter)
+    # NaN and inf rates or timeouts would otherwise fail mid-run with
+    # a raw SimulationError/ValueError, or (NaN backoff) run silently.
+    nan, inf = float("nan"), float("inf")
+    for bad in (nan, inf, -1.0):
+        with pytest.raises(ConfigError):
+            ClusterSpec(machines=1, bandwidth_gbps=bad)
+        with pytest.raises(ConfigError):
+            ClusterSpec(machines=1, local_bandwidth=bad)
+        with pytest.raises(ConfigError):
+            ClusterSpec(machines=1, retry_timeout=bad)
+    with pytest.raises(ConfigError):
+        ClusterSpec(machines=1, local_bandwidth=0)
+    for bad in (nan, inf, 0.5):
+        with pytest.raises(ConfigError):
+            ClusterSpec(machines=1, retry_timeout=0.01, retry_backoff=bad)
 
 
 def test_pytorch_requires_allreduce():
