@@ -165,8 +165,8 @@ class PSBackend(CommBackend):
         #: so chunk barriers never wait on a worker that joined after
         #: the iteration was laid out.
         self._iteration_rosters: Dict[int, Set[str]] = {}
-        # One FIFO update pipe per server models its optimizer CPU.
-        self._update_pipes = {
+        #: One FIFO update pipe per server models its optimizer CPU.
+        self.update_pipes: Dict[str, Link] = {
             server: Link(
                 env,
                 f"{server}.update",
@@ -437,7 +437,7 @@ class PSBackend(CommBackend):
 
         if run_update:
             update = Message(server, server, chunk.size, kind="update", payload=chunk)
-            self._update_pipes[server].transmit(update, callback=_send_pulls)
+            self.update_pipes[server].transmit(update, callback=_send_pulls)
         else:
             _send_pulls()
 

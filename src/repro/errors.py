@@ -16,21 +16,9 @@ class SimulationError(ReproError):
     """The discrete-event kernel was used incorrectly.
 
     Examples: running a finished environment backwards in time,
-    triggering an already-triggered event, or yielding a non-event from
-    a process generator.
+    triggering an already-triggered event, or scheduling a callback
+    for a time before now.
     """
-
-
-class Interrupt(ReproError):
-    """Raised inside a process generator when it is interrupted.
-
-    The ``cause`` attribute carries the value passed to
-    :meth:`repro.sim.Process.interrupt`.
-    """
-
-    def __init__(self, cause: object = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
 
 
 class ConfigError(ReproError):

@@ -21,7 +21,9 @@ manipulates):
 
 Engines differ only in *when* they run posted ops — see
 :mod:`repro.frameworks.declarative` and
-:mod:`repro.frameworks.imperative`.
+:mod:`repro.frameworks.imperative`.  Both run on kernel callbacks; the
+waits they share, a dependency countdown (:meth:`Engine._after_deps`)
+and a finish-on-event hook (:meth:`Engine._finish_when`), live here.
 """
 
 from __future__ import annotations
@@ -34,6 +36,11 @@ from repro.errors import ConfigError
 from repro.sim import Environment, Event
 
 __all__ = ["OpKind", "EngineOp", "Engine"]
+
+
+def _reraise(exc: BaseException) -> None:
+    """Deferred callback: surface ``exc`` from ``env.run()``."""
+    raise exc
 
 
 class OpKind(enum.Enum):
@@ -163,6 +170,74 @@ class Engine:
 
     def _accept(self, op: EngineOp) -> None:
         raise NotImplementedError
+
+    def _finish(self, op: EngineOp) -> None:
+        raise NotImplementedError
+
+    def _fail(self, exc: BaseException) -> None:
+        """Surface ``exc`` from ``env.run()`` one kernel entry later."""
+        self.env.defer(_reraise, exc)
+
+    def _after_deps(self, op: EngineOp, then: Callable[[EngineOp], None]) -> None:
+        """Call ``then(op)`` once every dependency of ``op`` has fired.
+
+        With no dependencies ``then`` runs right away.  Otherwise it
+        runs in one :meth:`~repro.sim.Environment.defer` entry, issued
+        when the last unprocessed dependency fires, or now if all of
+        them have already been processed: the slot in which a
+        wait-for-all condition event would have been scheduled.  A
+        failed dependency instead defers :meth:`_fail` at once, and
+        ``then`` never runs; failures of the others are defused.
+        """
+        deps = op.dep_events()
+        if not deps:
+            then(op)
+            return
+        env = self.env
+        # Unfired deps, plus one that holds the count open until every
+        # one has its callback; 0 once resolved either way.
+        left = 1
+
+        def countdown(event: Event) -> None:
+            nonlocal left
+            if not event._ok:
+                event.defused = True
+                if left:
+                    left = 0
+                    env.defer(self._fail, event._value)
+            elif left:
+                left -= 1
+                if not left:
+                    env.defer(then, op)
+
+        for event in deps:
+            callbacks = event.callbacks
+            if callbacks is not None:
+                callbacks.append(countdown)
+                if left:
+                    left += 1
+            elif not event._ok:
+                countdown(event)
+        if left:
+            left -= 1
+            if not left:
+                env.defer(then, op)
+
+    def _finish_when(self, event: Event, op: EngineOp) -> None:
+        """Call :meth:`_finish` once ``event`` fires (right away if it
+        has been processed); if it failed, :meth:`_fail` instead."""
+
+        def fired(event: Event) -> None:
+            if event._ok:
+                self._finish(op)
+            else:
+                event.defused = True
+                self._fail(event._value)
+
+        if event.callbacks is None:
+            fired(event)
+        else:
+            event.callbacks.append(fired)
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name} ops={self.ops_posted}>"

@@ -14,9 +14,9 @@ driver through one :meth:`~repro.sim.Environment.defer` entry, and the
 driver then finishes it on the kernel entry that ends it (a compute
 delay, a proxy's release, a barrier's dependencies).  The hand-off is
 scheduled at the same moment, and takes the same single sequence
-number, as the get event of a driver process fed by the kernel's
-generic FIFO buffer (:mod:`repro.sim.resources`), so every same-instant
-tie resolves as it did there and whole trajectories are unchanged.
+number, as the get event of the Store-fed driver process the engine
+used to be, so every same-instant tie resolves as it did there and
+whole trajectories are unchanged.
 
 An idle driver holds nothing: no parked event, no suspended generator.
 So nothing in the engine points back at it once its last op is done,
@@ -32,11 +32,6 @@ from repro.frameworks.engine import Engine, EngineOp, OpKind
 from repro.sim import Environment, Event
 
 __all__ = ["ImperativeEngine", "PyTorchEngine"]
-
-
-def _reraise(exc: BaseException) -> None:
-    """Deferred callback: surface ``exc`` from ``env.run()``."""
-    raise exc
 
 
 def _completer(op: EngineOp):
@@ -117,23 +112,9 @@ class ImperativeEngine(Engine):
                 self._finish_when(release, op)
                 return
         else:  # BARRIER: blocks the driver until its deps are done
-            deps = op.dep_events()
-            if deps:
-                self._finish_when(env.all_of(deps), op)
-                return
+            self._after_deps(op, self._finish)
+            return
         self._finish(op)
-
-    def _finish_when(self, event: Event, op: EngineOp) -> None:
-        """Finish ``op`` once ``event`` fires; if it fails, stop."""
-
-        def _fired(event: Event) -> None:
-            if event._ok:
-                self._finish(op)
-            else:
-                event.defused = True
-                self.env.defer(_reraise, event._value)
-
-        event.callbacks.append(_fired)
 
     def _finish(self, op: EngineOp) -> None:
         op.finished_at = self.env.now

@@ -497,12 +497,19 @@ class Fabric:
         if not delivered.triggered:
             delivered.succeed(message)
 
-    def reset_counters(self) -> None:
-        """Zero all NIC and loopback counters (e.g. after warm-up)."""
+    def links(self) -> List[Link]:
+        """Every link of the fabric: NIC up- and downlinks, loopbacks."""
+        links = []
         for nic in self.nics.values():
-            nic.reset_counters()
-        for loop in self._loopbacks.values():
-            loop.reset_counters()
+            links.append(nic.uplink)
+            links.append(nic.downlink)
+        links.extend(self._loopbacks.values())
+        return links
+
+    def reset_counters(self) -> None:
+        """Zero all link counters (e.g. after warm-up)."""
+        for link in self.links():
+            link.reset_counters()
 
     def __repr__(self) -> str:
         return f"<Fabric nodes={len(self.nics)} transport={self.transport.name}>"

@@ -26,6 +26,10 @@ frame's), which was measured to shift simulated iteration times by
 whole transfer slots.  Per-frame wake-ups keep every completion at the
 exact tie-break position a per-message timeout would have had;
 wake-ups for already-drained frames find nothing due and fall through.
+A wake-up is armed for the frame's ``end`` itself
+(:meth:`~repro.sim.Environment.defer_at`), never for ``now`` plus a
+delay: ``now + (end - now)`` can round one ulp below ``end``, and a
+wake-up that early finds its frame not yet due.
 Without a callback, :meth:`Link.transmit` returns the classic
 per-message event.
 """
@@ -127,6 +131,12 @@ class Link:
         end = degraded_finish(start, service, windows)
         return end, end - start - blackout_time(start, end, windows)
 
+    @property
+    def head_end(self) -> Optional[float]:
+        """Completion time of the oldest frame awaiting its wake-up on
+        the batched path, or None when none is queued."""
+        return self._fifo[0][0] if self._fifo else None
+
     def _drain(self, _arg: None) -> None:
         """A completion wake-up: pop and complete every frame due now.
 
@@ -190,7 +200,7 @@ class Link:
             env.defer(callback, message, end - now + extra)
         else:
             self._fifo.append((end, callback, message))
-            env.defer(self._drain, None, end - now)
+            env.defer_at(self._drain, None, end)
         return None
 
     def transmit_cut_through(
@@ -256,7 +266,7 @@ class Link:
             if end < now:
                 end = now
             self._fifo.append((end, callback, message))
-            env.defer(self._drain, None, end - now)
+            env.defer_at(self._drain, None, end)
         return None
 
     def reset_counters(self) -> None:

@@ -19,7 +19,7 @@ cut-through like the flat path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.net.fabric import DEFAULT_LOCAL_BANDWIDTH, Fabric
@@ -197,13 +197,12 @@ class HierarchicalFabric(Fabric):
 
         uplink.transmit(message, callback=_after_nic_up)
 
-    def reset_counters(self) -> None:
-        """Zero NIC, loopback, and rack-link counters."""
-        super().reset_counters()
-        for link in self.rack_uplinks.values():
-            link.reset_counters()
-        for link in self.rack_downlinks.values():
-            link.reset_counters()
+    def links(self) -> List[Link]:
+        """NIC, loopback and rack links."""
+        links = super().links()
+        links.extend(self.rack_uplinks.values())
+        links.extend(self.rack_downlinks.values())
+        return links
 
     def __repr__(self) -> str:
         return (

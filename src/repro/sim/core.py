@@ -1,33 +1,34 @@
 """Discrete-event simulation kernel.
 
-A small, deterministic, generator-based kernel in the style of SimPy.
-The pieces:
+A small, deterministic, callback-driven kernel.  The pieces:
 
 * :class:`Environment` — owns the simulated clock and the event queue.
 * :class:`Event` — a one-shot occurrence with callbacks and a value.
 * :class:`Timeout` — an event that fires after a simulated delay.
-* :class:`Process` — wraps a generator that ``yield``\\ s events; the
-  process resumes when the yielded event fires.  A process is itself an
-  event that succeeds with the generator's return value.
 
-Determinism: events scheduled for the same simulated time fire in the
-order they were scheduled (FIFO tie-break via a monotonically increasing
-sequence number).  Given the same inputs, a simulation always produces
-the same trajectory — the test suite relies on this.
+Code that waits does not block: it appends a callback to an event, or
+schedules a bare ``fn(arg)`` call with :meth:`Environment.defer`
+(``delay`` seconds from now) or :meth:`Environment.defer_at` (at an
+absolute time, stored verbatim).  Each step of a multi-step activity
+is one such callback, and a chain of them replaces a process.
+
+Determinism: entries scheduled for the same simulated time fire in the
+order they were scheduled (FIFO tie-break via a monotonically
+increasing sequence number).  Given the same inputs, a simulation
+always produces the same trajectory — the test suite relies on this.
 
 Performance notes: this kernel is the hot loop under every experiment.
-The classes carry ``__slots__``, :class:`Timeout` and :class:`Process`
-construction is hand-inlined, and the queue may hold a bare
-``(callback, arg)`` pair instead of an :class:`Event` (see
-:meth:`Environment.defer`) so zero-delay wakeups and process kick-offs
-allocate nothing.
+The classes carry ``__slots__``, :class:`Timeout` construction is
+hand-inlined, and a queue entry may carry a bare callback and its
+argument instead of an :class:`Event` (see :meth:`Environment.defer`)
+so wake-ups allocate no event.
 
-The queue is a binary heap (:mod:`heapq`) of ``(when, key, item)``
-entries, where ``key`` packs the urgency bit above the sequence number
-so one integer compare resolves a same-instant tie.  Each schedule
-point consumes exactly one sequence number, so the trajectory is the
-same as the straightforward ``(time, priority, sequence)`` ordering.
-A pure-Python bucketed queue was measured slower on every end-to-end
+The queue is a binary heap (:mod:`heapq`) of ``(when, eid, fn, arg)``
+entries: ``fn(arg)`` for a deferred callback, ``fn`` None and ``arg``
+the event for an event.  Each schedule point consumes exactly one
+sequence number ``eid``, so one integer compare resolves a
+same-instant tie and the heap never compares further.  A
+pure-Python bucketed queue was measured slower on every end-to-end
 workload: the C-implemented ``heapq`` wins at the tens to thousands of
 live entries these simulations keep.
 """
@@ -35,25 +36,14 @@ live entries these simulations keep.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Any, Callable, Generator, Iterable, List, Optional
+from typing import Any, Callable, List, Optional
 
-from repro.errors import Interrupt, SimulationError
+from repro.errors import SimulationError
 
-__all__ = ["Environment", "Event", "Timeout", "Process", "PENDING"]
+__all__ = ["Environment", "Event", "Timeout", "PENDING"]
 
 #: Sentinel for "this event has not been triggered yet".
 PENDING = object()
-
-#: Priority for interrupts — they pre-empt same-time normal events.
-_URGENT = 0
-_NORMAL = 1
-
-#: Queue entries are ``(when, key, item)``; ``key`` packs the priority
-#: above the sequence number (``eid`` for urgent, ``_NORMAL_BASE + eid``
-#: for normal) so one integer compare resolves the full
-#: ``(priority, eid)`` tie-break.  2**53 sequence numbers is ~3 years of
-#: kernel time at current throughput — far beyond any single run.
-_NORMAL_BASE = 1 << 53
 
 _INF = float("inf")
 
@@ -73,7 +63,7 @@ class Event:
         self.callbacks: Optional[List[Callable[["Event"], None]]] = []
         self._value: Any = PENDING
         self._ok: Optional[bool] = None
-        #: True if a failed event's exception was consumed by a process.
+        #: True once a callback has handled this event's failure.
         self.defused = False
 
     @property
@@ -130,8 +120,8 @@ class Event:
     def fail(self, exception: BaseException) -> "Event":
         """Trigger the event with an exception.
 
-        A failed event re-raises ``exception`` inside every process
-        waiting on it.
+        Unless a callback sets ``defused``, the exception is raised
+        from :meth:`Environment.run` once the callbacks have run.
         """
         if not isinstance(exception, BaseException):
             raise TypeError(f"fail() needs an exception, got {exception!r}")
@@ -141,12 +131,6 @@ class Event:
         self._value = exception
         self.env._schedule(self)
         return self
-
-    def trigger(self, event: "Event") -> None:
-        """Copy state from ``event`` and schedule.  Callback-compatible."""
-        self._ok = event._ok
-        self._value = event._value
-        self.env._schedule(self)
 
     def __repr__(self) -> str:
         state = "pending"
@@ -177,149 +161,10 @@ class Timeout(Event):
         self.delay = delay
         eid = env._eid + 1
         env._eid = eid
-        heappush(env._queue, (env._now + delay, _NORMAL_BASE + eid, self))
+        heappush(env._queue, (env._now + delay, eid, None, self))
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self.delay} at {id(self):#x}>"
-
-
-ProcessGenerator = Generator[Event, Any, Any]
-
-
-class _InitSentinel:
-    """Shared pre-succeeded stand-in for a process's kick-off event.
-
-    Immutable (``__slots__ = ()``; state lives in class attributes), so
-    one instance serves every process ever started.
-    """
-
-    __slots__ = ()
-    _ok = True
-    _value = None
-
-
-_INIT = _InitSentinel()
-
-
-class Process(Event):
-    """Wraps a generator, resuming it each time a yielded event fires.
-
-    The process is itself an event: it succeeds with the generator's
-    return value, or fails with the exception that escaped it.
-    """
-
-    __slots__ = ("_generator", "_target")
-
-    def __init__(self, env: "Environment", generator: ProcessGenerator) -> None:
-        if not hasattr(generator, "send") or not hasattr(generator, "throw"):
-            raise SimulationError(f"{generator!r} is not a generator")
-        self.env = env
-        self.callbacks = []
-        self._value = PENDING
-        self._ok = None
-        self.defused = False
-        self._generator = generator
-        self._target: Optional[Event] = None
-        # Kick the process off inside env.run() — not with a throwaway
-        # init Event, but with a bare (callback, sentinel) queue entry
-        # that the run loop dispatches directly.
-        eid = env._eid + 1
-        env._eid = eid
-        heappush(env._queue, (env._now, _NORMAL_BASE + eid, (self._resume, _INIT)))
-
-    @property
-    def is_alive(self) -> bool:
-        """True while the generator has not finished."""
-        return self._value is PENDING
-
-    @property
-    def target(self) -> Optional[Event]:
-        """The event this process is currently waiting for."""
-        return self._target
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`~repro.errors.Interrupt` into the process.
-
-        The process stops waiting for its current target and instead
-        handles (or propagates) the interrupt at its ``yield``.
-        """
-        if self._value is not PENDING:
-            raise SimulationError(f"{self!r} has terminated; cannot interrupt")
-        event = Event(self.env)
-        event._ok = False
-        event._value = Interrupt(cause)
-        event.defused = True
-        event.callbacks.append(self._resume)
-        # Retarget instead of scanning the abandoned target's callback
-        # list: _resume ignores firings from anything that is not the
-        # current target, so the stale callback left behind is a no-op
-        # (same observable behaviour as removing it, at O(1)).
-        self._target = event
-        self.env._schedule(event, priority=_URGENT)
-
-    def _resume(self, event: Event) -> None:
-        """Advance the generator with the fired event's value."""
-        if self._value is not PENDING:
-            # Already terminated (e.g. an interrupt raced a target event
-            # that was popped from the queue in the same instant).
-            if not event._ok:
-                event.defused = True
-            return
-        target = self._target
-        if target is not None and event is not target:
-            # A target abandoned by interrupt() finally fired.  The
-            # process moved on long ago; fall through to whatever other
-            # consumers the event has (failures stay un-defused, exactly
-            # as if this callback had been removed).
-            return
-        self._target = None
-        self.env._active_process = self
-        while True:
-            try:
-                if event._ok:
-                    next_event = self._generator.send(event._value)
-                else:
-                    event.defused = True
-                    next_event = self._generator.throw(event._value)
-            except StopIteration as stop:
-                self._ok = True
-                self._value = stop.value
-                self.env._schedule(self)
-                break
-            except BaseException as exc:
-                self._ok = False
-                self._value = exc
-                self.env._schedule(self)
-                break
-
-            if not isinstance(next_event, Event):
-                err = SimulationError(
-                    f"process yielded a non-event: {next_event!r}"
-                )
-                self._ok = False
-                self._value = err
-                self.env._schedule(self)
-                break
-            if next_event.env is not self.env:
-                err = SimulationError("yielded an event from another environment")
-                self._ok = False
-                self._value = err
-                self.env._schedule(self)
-                break
-
-            if next_event.callbacks is not None:
-                # Not yet processed: wait for it.
-                next_event.callbacks.append(self._resume)
-                self._target = next_event
-                break
-            # Already processed: feed its value straight back in.
-            event = next_event
-
-        self.env._active_process = None
-
-    def __repr__(self) -> str:
-        name = getattr(self._generator, "__name__", repr(self._generator))
-        return f"<Process {name} at {id(self):#x}>"
 
 
 class Environment:
@@ -328,38 +173,29 @@ class Environment:
     Typical use::
 
         env = Environment()
-
-        def hello(env):
-            yield env.timeout(3.0)
-            return env.now
-
-        proc = env.process(hello(env))
+        log = []
+        env.timeout(3.0).callbacks.append(lambda event: log.append(env.now))
+        env.defer(log.append, "later", 5.0)
         env.run()
-        assert proc.value == 3.0
+        assert log == [3.0, "later"] and env.now == 5.0
 
     Pending work lives in one binary heap, ``_queue``, of
-    ``(when, key, item)`` entries (see ``_NORMAL_BASE`` for ``key``);
-    ``item`` is an :class:`Event` or a bare ``(callback, arg)`` pair
-    from :meth:`defer`.
+    ``(when, eid, fn, arg)`` entries: a bare callback from
+    :meth:`defer`/:meth:`defer_at`, or ``fn`` None and an
+    :class:`Event` as ``arg``.
     """
 
-    __slots__ = ("_now", "_queue", "_eid", "_active_process")
+    __slots__ = ("_now", "_queue", "_eid")
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
         self._queue: List[tuple] = []
         self._eid = 0
-        self._active_process: Optional[Process] = None
 
     @property
     def now(self) -> float:
         """Current simulated time (seconds)."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed, if any."""
-        return self._active_process
 
     # -- event factories -------------------------------------------------
 
@@ -371,53 +207,44 @@ class Environment:
         """Create an event firing ``delay`` seconds from now."""
         return Timeout(self, delay, value)
 
-    def process(self, generator: ProcessGenerator) -> Process:
-        """Start a new process from ``generator``."""
-        return Process(self, generator)
-
-    def all_of(self, events: Iterable[Event]) -> Event:
-        """Event that fires once every event in ``events`` has fired."""
-        from repro.sim.events import AllOf
-
-        return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> Event:
-        """Event that fires once any event in ``events`` has fired."""
-        from repro.sim.events import AnyOf
-
-        return AnyOf(self, events)
-
     # -- scheduling -------------------------------------------------------
 
-    def _schedule(self, event: Event, delay: float = 0.0, priority: int = _NORMAL) -> None:
+    def _schedule(self, event: Event) -> None:
         eid = self._eid + 1
         self._eid = eid
-        key = _NORMAL_BASE + eid if priority else eid
-        heappush(self._queue, (self._now + delay, key, event))
+        heappush(self._queue, (self._now, eid, None, event))
 
-    def defer(
-        self,
-        fn: Callable[[Any], None],
-        arg: Any = None,
-        delay: float = 0.0,
-        priority: int = _NORMAL,
-    ) -> None:
+    def defer(self, fn: Callable[[Any], None], arg: Any = None, delay: float = 0.0) -> None:
         """Schedule a bare callback ``fn(arg)`` to run ``delay`` seconds
         from now, with no :class:`Event` allocated.
 
-        The fast path for fire-and-forget wakeups that used to be
-        spelled ``env.timeout(0.0).callbacks.append(fn)``.  Consumes one
-        sequence number, exactly like scheduling an event, so it slots
-        into the deterministic order at the same position the timeout
-        would have.  There is nothing to wait on or cancel — use a real
-        :class:`Timeout` when the caller needs a handle.
+        Consumes one sequence number, exactly like scheduling an event,
+        so it slots into the deterministic order at the same position a
+        timeout would have.  There is nothing to wait on or cancel — use
+        a real :class:`Timeout` when the caller needs a handle.
         """
         if not delay >= 0:  # also rejects NaN
             raise SimulationError(f"defer delay must be >= 0, got {delay!r}")
         eid = self._eid + 1
         self._eid = eid
-        key = _NORMAL_BASE + eid if priority else eid
-        heappush(self._queue, (self._now + delay, key, (fn, arg)))
+        heappush(self._queue, (self._now + delay, eid, fn, arg))
+
+    def defer_at(self, fn: Callable[[Any], None], arg: Any, when: float) -> None:
+        """Schedule ``fn(arg)`` to run at simulated time ``when``.
+
+        ``when`` is stored verbatim, so a callback armed for a
+        precomputed boundary runs with ``now == when`` exactly;
+        ``defer(fn, arg, when - now)`` may land one ulp off, since
+        ``now + (when - now)`` need not round back to ``when``.
+        Consumes one sequence number, like :meth:`defer`.
+        """
+        if not when >= self._now:  # also rejects NaN
+            raise SimulationError(
+                f"defer_at time must be >= now ({self._now!r}), got {when!r}"
+            )
+        eid = self._eid + 1
+        self._eid = eid
+        heappush(self._queue, (when, eid, fn, arg))
 
     def _pending(self) -> int:
         """Number of scheduled-but-unfired entries (for repr/tests)."""
@@ -431,17 +258,17 @@ class Environment:
         return queue[0][0] if queue else _INF
 
     def step(self) -> None:
-        """Process the single next event."""
+        """Run the single next queue entry."""
         queue = self._queue
         if not queue:
             raise SimulationError("no more events to step through")
-        when, _key, event = heappop(queue)
+        when, _eid, fn, event = heappop(queue)
         if when < self._now:
             raise SimulationError("event scheduled in the past")
         self._now = when
-        if event.__class__ is tuple:
+        if fn is not None:
             # A defer()-style bare callback; nothing to detach or raise.
-            event[0](event[1])
+            fn(event)
             return
         callbacks = event.callbacks
         event.callbacks = None
@@ -471,10 +298,10 @@ class Environment:
         # queue; step() keeps it for direct callers).
         queue = self._queue
         while queue and queue[0][0] <= horizon:
-            when, _key, event = heappop(queue)
+            when, _eid, fn, event = heappop(queue)
             self._now = when
-            if event.__class__ is tuple:
-                event[0](event[1])
+            if fn is not None:
+                fn(event)
                 continue
             callbacks = event.callbacks
             event.callbacks = None

@@ -606,10 +606,7 @@ class TrainingJob:
             self._built_iterations += 1
             while index not in self._iteration_done:
                 if self.env.peek() == math.inf:
-                    raise ConfigError(
-                        f"iteration {index} cannot complete — the op graph "
-                        "deadlocked"
-                    )
+                    raise self._deadlocked(f"iteration {index} cannot complete")
                 self.env.step()
             completed += 1
         return completed
@@ -629,13 +626,27 @@ class TrainingJob:
                 continue
             expected = self._expected_iterations[worker]
             if len(times) != expected:
-                raise ConfigError(
-                    f"worker {worker} completed {len(times)}/"
-                    f"{expected} iterations — the op graph "
-                    "deadlocked"
+                raise self._deadlocked(
+                    f"worker {worker} completed {len(times)}/{expected} iterations"
                 )
         if self.oracle is not None:
             self.oracle.verify(self)
+
+    def _deadlocked(self, what: str) -> ConfigError:
+        """The error for a run that stopped short: ``what`` failed, and
+        every link still holding a frame is named with its head's
+        completion time, next to the clock."""
+        links = self.fabric.links() if self.fabric is not None else []
+        links.extend(getattr(self.backend, "update_pipes", {}).values())
+        stuck = [
+            f"{link.name} (head end {link.head_end!r})"
+            for link in links
+            if link.head_end is not None
+        ]
+        where = "; links with queued frames: " + ", ".join(stuck) if stuck else ""
+        return ConfigError(
+            f"{what} — the op graph deadlocked at t={self.env.now!r}{where}"
+        )
 
     @property
     def markers(self) -> Dict[str, List[float]]:

@@ -43,13 +43,13 @@ def chunk(iteration=0, layer=0, index=0, num=1, size=100.0, worker="w0"):
 
 
 def run_until_done(env, events):
-    def waiter(env):
-        got = yield env.all_of(events)
-        return (env.now, got)
-
-    process = env.process(waiter(env))
+    """Run ``env``; return the time the last of ``events`` fired."""
+    times = []
+    for event in events:
+        event.callbacks.append(lambda _evt: times.append(env.now))
     env.run()
-    return process.value[0]
+    assert len(times) == len(events)
+    return times[-1]
 
 
 def test_sync_chunk_completes_after_all_pushes_and_pull():
@@ -72,20 +72,15 @@ def test_sync_waits_for_slowest_worker():
     times = {}
     done_0.callbacks.append(lambda evt: times.setdefault("w0", env.now))
 
-    def late_starter(env):
-        yield env.timeout(10.0)
+    def late_starter(_arg):
         done_1 = backend.start_chunk(chunk(worker="w1")).done
-        yield done_1
+        done_1.callbacks.append(lambda evt: times.setdefault("w1", env.now))
 
-    process = env.process(late_starter(env))
-
-    def waiter(env):
-        yield env.all_of([done_0, process])
-
-    env.process(waiter(env))
+    env.defer(late_starter, None, 10.0)
     env.run()
     # w0's pull can only happen after w1's push arrives at t=11.
     assert times["w0"] >= 11.0
+    assert "w1" in times
 
 
 def test_async_worker_not_blocked_by_peer():

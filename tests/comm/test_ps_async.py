@@ -35,14 +35,10 @@ def test_async_update_runs_once_per_chunk():
     env = Environment()
     backend, fabric = make_async_ps(env)
     handles = [backend.start_chunk(chunk(worker)) for worker in ("w0", "w1", "w2")]
-
-    def waiter(env):
-        yield env.all_of([handle.done for handle in handles])
-
-    env.process(waiter(env))
     env.run()
+    assert all(handle.done.processed for handle in handles)
     # One update despite three pushes: later arrivals reuse it.
-    update_pipe = backend._update_pipes["s0"]
+    update_pipe = backend.update_pipes["s0"]
     assert update_pipe.messages_sent == 1
 
 
@@ -50,12 +46,8 @@ def test_async_each_worker_gets_its_own_pull():
     env = Environment()
     backend, fabric = make_async_ps(env)
     handles = [backend.start_chunk(chunk(worker)) for worker in ("w0", "w1", "w2")]
-
-    def waiter(env):
-        yield env.all_of([handle.done for handle in handles])
-
-    env.process(waiter(env))
     env.run()
+    assert all(handle.done.processed for handle in handles)
     for worker in ("w0", "w1", "w2"):
         assert fabric.nic(worker).downlink.bytes_sent == pytest.approx(100.0)
 
@@ -64,12 +56,8 @@ def test_async_state_cleaned_after_all_workers_finish():
     env = Environment()
     backend, _fabric = make_async_ps(env)
     handles = [backend.start_chunk(chunk(worker)) for worker in ("w0", "w1", "w2")]
-
-    def waiter(env):
-        yield env.all_of([handle.done for handle in handles])
-
-    env.process(waiter(env))
     env.run()
+    assert all(handle.done.processed for handle in handles)
     assert backend._pending == {}
 
 

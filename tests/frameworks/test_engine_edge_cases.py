@@ -84,11 +84,6 @@ def test_dep_events_accepts_raw_events():
     engine = MXNetEngine(env)
     gate = env.event()
     op = engine.post(EngineOp("gated", OpKind.COMPUTE, duration=0.5, deps=[gate]))
-
-    def opener(env):
-        yield env.timeout(2.0)
-        gate.succeed()
-
-    env.process(opener(env))
+    env.defer(gate.succeed, None, 2.0)
     env.run()
     assert op.finished_at == pytest.approx(2.5)

@@ -78,12 +78,7 @@ def test_declarative_proxy_blocks_until_release():
         )
     )
     downstream = engine.post(compute("down", 1.0, deps=[proxy]))
-
-    def releaser(env):
-        yield env.timeout(5.0)
-        release.succeed()
-
-    env.process(releaser(env))
+    env.defer(release.succeed, None, 5.0)
     env.run()
     assert fired == [0.0]  # notify_ready fires immediately at start
     assert downstream.finished_at == pytest.approx(6.0)
@@ -136,12 +131,7 @@ def test_imperative_proxy_hook_blocks_driver():
     release = env.event()
     proxy = engine.post(EngineOp("hook", OpKind.PROXY, release=release))
     after = engine.post(compute("after", 1.0))
-
-    def releaser(env):
-        yield env.timeout(3.0)
-        release.succeed()
-
-    env.process(releaser(env))
+    env.defer(release.succeed, None, 3.0)
     env.run()
     assert proxy.finished_at == pytest.approx(3.0)
     assert after.finished_at == pytest.approx(4.0)

@@ -10,16 +10,18 @@ def make_fabric(env, nodes=("w0", "w1", "s0"), bandwidth=100.0, overhead=0.0):
     return Fabric(env, nodes, bandwidth, Transport("t", overhead, 1.0))
 
 
-def run_transfer(env, fabric, message):
-    done = fabric.transfer(message).delivered
-
-    def waiter(env):
-        yield done
-        return env.now
-
-    process = env.process(waiter(env))
+def delivered_at(env, events):
+    """Run ``env``; return the time the last of ``events`` fired."""
+    times = []
+    for event in events:
+        event.callbacks.append(lambda _evt: times.append(env.now))
     env.run()
-    return process.value
+    assert len(times) == len(events)
+    return times[-1]
+
+
+def run_transfer(env, fabric, message):
+    return delivered_at(env, [fabric.transfer(message).delivered])
 
 
 def test_remote_transfer_cuts_through():
@@ -37,13 +39,7 @@ def test_transfers_between_disjoint_pairs_run_in_parallel():
     done_a = fabric.transfer(Message("a", "b", 100.0)).delivered
     done_c = fabric.transfer(Message("c", "d", 100.0)).delivered
 
-    def waiter(env):
-        yield env.all_of([done_a, done_c])
-        return env.now
-
-    process = env.process(waiter(env))
-    env.run()
-    assert process.value == pytest.approx(1.0, abs=1e-3)
+    assert delivered_at(env, [done_a, done_c]) == pytest.approx(1.0, abs=1e-3)
 
 
 def test_shared_destination_downlink_serializes():
@@ -53,15 +49,9 @@ def test_shared_destination_downlink_serializes():
     done_0 = fabric.transfer(Message("w0", "s0", 100.0)).delivered
     done_1 = fabric.transfer(Message("w1", "s0", 100.0)).delivered
 
-    def waiter(env):
-        yield env.all_of([done_0, done_1])
-        return env.now
-
-    process = env.process(waiter(env))
-    env.run()
     # Uplinks run in parallel (1s); the server downlink must still
     # serialize a full service slot for the second message.
-    assert process.value == pytest.approx(2.0, abs=1e-3)
+    assert delivered_at(env, [done_0, done_1]) == pytest.approx(2.0, abs=1e-3)
 
 
 def test_pipelined_partitions_reach_line_rate():
@@ -72,14 +62,8 @@ def test_pipelined_partitions_reach_line_rate():
     fabric = make_fabric(env, bandwidth=100.0)
     chunks = [fabric.transfer(Message("w0", "s0", 100.0)).delivered for _ in range(10)]
 
-    def waiter(env):
-        yield env.all_of(chunks)
-        return env.now
-
-    process = env.process(waiter(env))
-    env.run()
     # 10 chunks x 1s on the bottleneck; cut-through hides the fill.
-    assert process.value == pytest.approx(10.0, abs=1e-3)
+    assert delivered_at(env, chunks) == pytest.approx(10.0, abs=1e-3)
 
 
 def test_duplex_directions_are_independent():
@@ -88,13 +72,7 @@ def test_duplex_directions_are_independent():
     push = fabric.transfer(Message("w0", "s0", 100.0)).delivered
     pull = fabric.transfer(Message("s0", "w0", 100.0)).delivered
 
-    def waiter(env):
-        yield env.all_of([push, pull])
-        return env.now
-
-    process = env.process(waiter(env))
-    env.run()
-    assert process.value == pytest.approx(1.0, abs=1e-3)
+    assert delivered_at(env, [push, pull]) == pytest.approx(1.0, abs=1e-3)
 
 
 def test_local_transfer_uses_loopback():

@@ -236,16 +236,12 @@ def test_reorder_delays_delivery_without_extending_link_busy():
     )
     downlink = fabric.nics["s0"].downlink
     handle = fabric.transfer(Message("w0", "s0", 100.0))
-
-    def waiter(env):
-        yield handle.delivered
-        return env.now
-
-    process = env.process(waiter(env))
+    delivered_at = []
+    handle.delivered.callbacks.append(lambda _evt: delivered_at.append(env.now))
     env.run()
     assert guard.stats.reorder_injected == 1
     # Delivery slips by the injector's lingering delay...
-    assert process.value == pytest.approx(1.0 + 500e-6, abs=1e-4)
+    assert delivered_at == [pytest.approx(1.0 + 500e-6, abs=1e-4)]
     # ...but the link freed on schedule: the switch held the message,
     # not the wire.
     assert downlink.busy_until == pytest.approx(1.0, abs=1e-4)

@@ -10,36 +10,32 @@ def make_link(env, bandwidth=100.0, overhead=0.0, trace=None):
     return Link(env, "n0.up", bandwidth, Transport("t", overhead, 1.0), trace)
 
 
+def fired_at(env, events):
+    """Run ``env``; return the time each of ``events`` fired, in order
+    of firing."""
+    times = []
+    for event in events:
+        event.callbacks.append(lambda _evt: times.append(env.now))
+    env.run()
+    return times
+
+
 def test_single_message_takes_size_over_bandwidth():
     env = Environment()
     link = make_link(env, bandwidth=100.0)
     done = link.transmit(Message("a", "b", 250.0))
-
-    def waiter(env):
-        yield done
-        return env.now
-
-    process = env.process(waiter(env))
-    env.run()
-    assert process.value == pytest.approx(2.5)
+    assert fired_at(env, [done]) == [pytest.approx(2.5)]
 
 
 def test_messages_serialize_fifo():
     env = Environment()
     link = make_link(env, bandwidth=100.0)
-    finish_times = []
-
-    def sender(env):
-        first = link.transmit(Message("a", "b", 100.0))
-        second = link.transmit(Message("a", "b", 100.0))
-        yield first
-        finish_times.append(env.now)
-        yield second
-        finish_times.append(env.now)
-
-    env.process(sender(env))
+    finished = []
+    for name in ("first", "second"):
+        done = link.transmit(Message("a", "b", 100.0))
+        done.callbacks.append(lambda _evt, name=name: finished.append((name, env.now)))
     env.run()
-    assert finish_times == [pytest.approx(1.0), pytest.approx(2.0)]
+    assert finished == [("first", pytest.approx(1.0)), ("second", pytest.approx(2.0))]
 
 
 def test_no_preemption_small_message_waits_behind_large():
@@ -49,14 +45,10 @@ def test_no_preemption_small_message_waits_behind_large():
     link = make_link(env, bandwidth=100.0)
     order = []
 
-    def sender(env):
-        big = link.transmit(Message("a", "b", 1000.0, kind="big"))
-        small = link.transmit(Message("a", "b", 1.0, kind="small"))
-        big.callbacks.append(lambda evt: order.append("big"))
-        small.callbacks.append(lambda evt: order.append("small"))
-        yield env.all_of([big, small])
-
-    env.process(sender(env))
+    big = link.transmit(Message("a", "b", 1000.0, kind="big"))
+    small = link.transmit(Message("a", "b", 1.0, kind="small"))
+    big.callbacks.append(lambda evt: order.append("big"))
+    small.callbacks.append(lambda evt: order.append("small"))
     env.run()
     assert order == ["big", "small"]
 
@@ -65,30 +57,16 @@ def test_overhead_applies_per_message():
     env = Environment()
     link = make_link(env, bandwidth=100.0, overhead=0.5)
     events = [link.transmit(Message("a", "b", 100.0)) for _ in range(3)]
-
-    def waiter(env):
-        yield env.all_of(events)
-        return env.now
-
-    process = env.process(waiter(env))
-    env.run()
     # Each message: 1s wire + 0.5s overhead, serialized.
-    assert process.value == pytest.approx(4.5)
+    assert fired_at(env, events)[-1] == pytest.approx(4.5)
 
 
 def test_idle_gap_then_transmit_starts_immediately():
     env = Environment()
     link = make_link(env, bandwidth=100.0)
-
-    def sender(env):
-        yield env.timeout(10.0)
-        done = link.transmit(Message("a", "b", 100.0))
-        yield done
-        return env.now
-
-    process = env.process(sender(env))
-    env.run()
-    assert process.value == pytest.approx(11.0)
+    env.run(until=10.0)
+    done = link.transmit(Message("a", "b", 100.0))
+    assert fired_at(env, [done]) == [pytest.approx(11.0)]
 
 
 def test_queue_delay_reflects_backlog():
@@ -148,11 +126,6 @@ def test_message_records_enqueue_time():
     env = Environment()
     link = make_link(env)
     message = Message("a", "b", 10.0)
-
-    def sender(env):
-        yield env.timeout(3.0)
-        link.transmit(message)
-
-    env.process(sender(env))
+    env.defer(link.transmit, message, 3.0)
     env.run()
     assert message.enqueued_at == 3.0

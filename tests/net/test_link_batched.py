@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net import Link, Message, Transport
-from repro.sim import Environment
+from repro.sim import Environment, Trace
 
 BANDWIDTH = 100.0
 
@@ -108,3 +108,45 @@ def test_past_available_at_fires_without_time_travel():
     env.run()
     assert len(fired) == 1
     assert fired[0] >= 5.0
+
+
+@given(
+    bandwidth=st.floats(min_value=0.37, max_value=3.7e3),
+    frames=st.lists(
+        st.tuples(
+            st.floats(min_value=0.0, max_value=50.0),  # issue time
+            st.floats(min_value=0.0, max_value=1e4),  # size
+            st.one_of(st.none(), st.floats(min_value=0.0, max_value=20.0)),
+        ),
+        min_size=1,
+        max_size=20,
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_every_frame_completes_exactly_at_its_end(bandwidth, frames):
+    # Non-round rates, sizes and issue times: ``now + (end - now)`` is
+    # often one ulp off ``end``.  Each frame must still complete with
+    # the clock exactly at the ``end`` the link computed (its trace
+    # span's end), and none may be left queued.  A ``None`` third field
+    # sends with transmit(); a number is the cut-through arrival's
+    # offset from the issue time.
+    env = Environment()
+    trace = Trace(env)
+    link = Link(env, "n0.up", bandwidth, Transport("t", 1.3e-5, 0.93), trace)
+    completed = {}
+
+    def issue(index):
+        _at, size, arrival = frames[index]
+        message = Message("a", "b", size, uid=index)
+        record = lambda msg: completed.setdefault(trace.intern(msg.uid), env.now)
+        if arrival is None:
+            link.transmit(message, callback=record)
+        else:
+            link.transmit_cut_through(message, env.now + arrival, callback=record)
+
+    for index, (at, _size, _arrival) in enumerate(frames):
+        env.defer(issue, index, at)
+    env.run()
+    ends = {dict(span.meta)["message"]: span.end for span in trace.spans}
+    assert completed == ends
+    assert link.head_end is None

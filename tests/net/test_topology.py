@@ -16,16 +16,18 @@ def make_hier(env, racks=2, per_rack=2, oversub=2.0, bandwidth=100.0):
     )
 
 
-def run_transfer(env, fabric, message):
-    done = fabric.transfer(message).delivered
-
-    def waiter(env):
-        yield done
-        return env.now
-
-    process = env.process(waiter(env))
+def delivered_at(env, events):
+    """Run ``env``; return the time the last of ``events`` fired."""
+    times = []
+    for event in events:
+        event.callbacks.append(lambda _evt: times.append(env.now))
     env.run()
-    return process.value
+    assert len(times) == len(events)
+    return times[-1]
+
+
+def run_transfer(env, fabric, message):
+    return delivered_at(env, [fabric.transfer(message).delivered])
 
 
 # -- TopologySpec ----------------------------------------------------------
@@ -100,15 +102,9 @@ def test_oversubscribed_uplink_serializes_scattered_tenants():
         hier.transfer(Message("r0m1", "r1m1", 100.0)).delivered,
     ]
 
-    def waiter(env):
-        yield env.all_of(done)
-        return env.now
-
-    process = env.process(waiter(env))
-    env.run()
     # Each NIC serialises its flow in 1 s; the 100 B/s shared uplink
     # (2 NICs / 2:1 oversub) then carries 200 B total: 2 s dominate.
-    assert process.value == pytest.approx(2.0, rel=0.05)
+    assert delivered_at(env, done) == pytest.approx(2.0, rel=0.05)
     assert hier.rack_uplinks[0].bytes_sent == 200.0
 
 

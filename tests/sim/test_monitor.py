@@ -8,12 +8,8 @@ def test_trace_records_span_boundaries():
     env = Environment()
     trace = Trace(env)
 
-    def proc(env):
-        handle = trace.begin("compute", "fp0", layer=0)
-        yield env.timeout(2.0)
-        trace.end(handle)
-
-    env.process(proc(env))
+    handle = trace.begin("compute", "fp0", layer=0)
+    env.defer(trace.end, handle, 2.0)
     env.run()
     (span,) = trace.spans
     assert (span.category, span.name, span.start, span.end) == ("compute", "fp0", 0.0, 2.0)
@@ -36,11 +32,7 @@ def test_trace_point_records_current_time():
     env = Environment()
     trace = Trace(env)
 
-    def proc(env):
-        yield env.timeout(1.5)
-        trace.point("marker", "iteration-end")
-
-    env.process(proc(env))
+    env.defer(lambda _arg: trace.point("marker", "iteration-end"), None, 1.5)
     env.run()
     assert trace.points == [(1.5, "marker", "iteration-end")]
 

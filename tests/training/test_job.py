@@ -13,6 +13,7 @@ from repro.training import (
     SchedulerSpec,
     TrainingJob,
     linear_scaling_speed,
+    resolve_model,
     run_experiment,
 )
 from repro.units import MB
@@ -184,3 +185,39 @@ def test_trace_collects_link_spans():
         measure=2, warmup=1, enable_trace=True,
     )
     assert result.speed > 0
+
+
+def test_link_wakeup_lands_exactly_on_a_drifting_end():
+    # Here each worker's layer-0 push ends at t = 0.8074932065608466 on
+    # its uplink, and ``now + (end - now)`` rounds one ulp below that.
+    # A wake-up armed that way found the frame not yet due, and the run
+    # deadlocked after one iteration.
+    job = TrainingJob(
+        resolve_model("transformer"),
+        ClusterSpec(
+            machines=4, bandwidth_gbps=3.0, transport="tcp", arch="ps", framework="mxnet"
+        ),
+        SchedulerSpec(kind="fifo"),
+    )
+    result = job.run(measure=3, warmup=1)
+    assert all(len(times) == 4 for times in job.markers.values())
+    assert result.speed == pytest.approx(7538.902332041783, rel=1e-12)
+    assert all(link.head_end is None for link in job.fabric.links())
+
+
+def test_deadlock_error_names_the_stuck_link():
+    job = TrainingJob(
+        comm_bound_model(),
+        ClusterSpec(machines=2, transport="tcp", arch="ps", framework="mxnet"),
+        SchedulerSpec(kind="fifo"),
+    )
+    # A link whose completion wake-ups do nothing strands its frames.
+    stuck = job.fabric.nics["w0"].uplink
+    stuck._drain = lambda _arg: None
+    with pytest.raises(ConfigError) as raised:
+        job.run(measure=1, warmup=1)
+    message = str(raised.value)
+    assert f"deadlocked at t={job.env.now!r}" in message
+    assert f"w0.up (head end {stuck.head_end!r})" in message
+    assert stuck.head_end is not None
+    assert "w1.up" not in message
