@@ -37,11 +37,6 @@ class DuplexNIC:
         """Per-direction line rate in bytes/second."""
         return self.uplink.bandwidth
 
-    def reset_counters(self) -> None:
-        """Zero both directions' counters."""
-        self.uplink.reset_counters()
-        self.downlink.reset_counters()
-
     def snapshot(self) -> dict:
         """Per-direction counters for per-iteration metric sampling."""
         return {"up": self.uplink.snapshot(), "down": self.downlink.snapshot()}
