@@ -366,13 +366,19 @@ class DriftFault:
 
     @property
     def steps(self) -> int:
-        """Piecewise-constant steps the sampler will produce."""
+        """Piecewise-constant steps the sampler will produce.
+
+        The cycle count is rounded to 9 decimals before the ceiling, so
+        a window that spans a whole number of periods in the clause's
+        decimal notation (``@11.7-18.1~0.1`` is 64 cycles) is not given
+        an extra step by binary float noise in ``end - start``.
+        """
         span = self.end - self.start
         if self.kind == "ramp":
             return DRIFT_RESOLUTION
         if self.kind == "diurnal":
-            return max(1, math.ceil(span / self.period * DRIFT_RESOLUTION))
-        return max(1, math.ceil(span / self.period))
+            return max(1, math.ceil(round(span / self.period * DRIFT_RESOLUTION, 9)))
+        return max(1, math.ceil(round(span / self.period, 9)))
 
     def clause(self) -> str:
         """The canonical grammar clause for this fault."""

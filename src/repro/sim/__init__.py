@@ -3,32 +3,16 @@
 The kernel under the reproduction: an :class:`Environment` with a
 simulated clock, one-shot :class:`Event`\\ s with callbacks, and bare
 callbacks scheduled with ``defer`` (relative delay) or ``defer_at``
-(absolute time).  :mod:`repro.sim.resources` keeps event-based shared
-resources and stores that the simulator no longer uses.  See
-:mod:`repro.sim.core` for the execution model.
+(absolute time).  See :mod:`repro.sim.core` for the execution model.
 """
 
 from repro.sim.core import Environment, Event, Timeout
 from repro.sim.monitor import Span, Trace, utilization
-from repro.sim.resources import (
-    Container,
-    PriorityResource,
-    PriorityStore,
-    Request,
-    Resource,
-    Store,
-)
 
 __all__ = [
     "Environment",
     "Event",
     "Timeout",
-    "Resource",
-    "PriorityResource",
-    "Request",
-    "Store",
-    "PriorityStore",
-    "Container",
     "Trace",
     "Span",
     "utilization",

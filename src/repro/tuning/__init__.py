@@ -3,7 +3,8 @@
 from repro.tuning.adaptive import AdaptiveTuner, AdaptiveTuningResult, PageHinkley
 from repro.tuning.autotuner import AutoTuner, TuningResult, simulated_objective
 from repro.tuning.gp import GaussianProcess
-from repro.tuning.online import OnlineTuner, OnlineTuningResult, record_tuning_stats
+from repro.tuning.live import LiveTuner, record_tuning_stats
+from repro.tuning.online import OnlineTuner, OnlineTuningResult
 from repro.tuning.searchers import (
     BayesianOptimizer,
     GridSearch,
@@ -27,6 +28,7 @@ __all__ = [
     "AdaptiveTuner",
     "AdaptiveTuningResult",
     "AutoTuner",
+    "LiveTuner",
     "OnlineTuner",
     "OnlineTuningResult",
     "PageHinkley",

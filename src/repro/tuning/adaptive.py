@@ -8,7 +8,8 @@ Under drift (diurnal bandwidth curves, background tenants, slow-moving
 stragglers) old profiles go stale and a global searcher keeps paying
 exploration cost for a landscape that has already moved — AutoByte
 (arXiv 2112.13509) argues the runtime needs a mechanism that *reacts*
-instead of re-searching.  :class:`AdaptiveTuner` is that control loop:
+instead of re-searching.  :class:`AdaptiveTuner` is that policy on the
+shared live loop (:class:`~repro.tuning.live.LiveTuner`):
 
 * **exploit by default** — train on the incumbent knobs, profiling each
   segment;
@@ -21,8 +22,8 @@ instead of re-searching.  :class:`AdaptiveTuner` is that control loop:
 * **change-point detection** — a CUSUM-style Page-Hinkley test on the
   incumbent's relative speed residuals; when the environment shifts
   under the incumbent, the tuner resets its discounted model, burns in
-  with PR 8's settling machinery, and re-sweeps the local
-  neighbourhood instead of restarting a global search.
+  with the loop's settle, and re-sweeps the local neighbourhood
+  instead of restarting a global search.
 
 Membership-epoch changes (elastic jobs) are treated as externally
 signalled change points, mirroring the online tuner's reset.
@@ -35,13 +36,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import TuningError
 from repro.training.job import TrainingJob
-from repro.tuning.online import (
-    DEFAULT_RESTART_PENALTY,
-    MAX_SETTLE_SEGMENTS,
-    PIPELINE_FLUSH_ITERATIONS,
-    SETTLE_TOLERANCE,
-    record_tuning_stats,
-)
+from repro.tuning.live import DEFAULT_RESTART_PENALTY, MAX_SETTLE_SEGMENTS, LiveTuner, Window
 from repro.tuning.space import Point, SearchSpace
 
 __all__ = ["AdaptiveTuner", "AdaptiveTuningResult", "PageHinkley"]
@@ -108,11 +103,11 @@ class PageHinkley:
     caller is expected to :meth:`reset` after reacting.
     """
 
-    def __init__(
-        self, delta: float = PH_DELTA, threshold: float = PH_THRESHOLD
-    ) -> None:
-        if delta < 0 or threshold <= 0:
-            raise TuningError("PageHinkley needs delta >= 0, threshold > 0")
+    def __init__(self, delta: float = PH_DELTA, threshold: float = PH_THRESHOLD) -> None:
+        if not delta >= 0 or not threshold > 0:  # also rejects NaN
+            raise TuningError(
+                f"PageHinkley needs delta >= 0, threshold > 0: {delta!r}, {threshold!r}"
+            )
         self.delta = delta
         self.threshold = threshold
         self.reset()
@@ -211,8 +206,15 @@ class AdaptiveTuningResult:
         return len(self.segments)
 
 
-class AdaptiveTuner:
-    """Tracks a moving knob optimum on one live job."""
+class AdaptiveTuner(LiveTuner):
+    """Tracks a moving knob optimum on one live job.
+
+    Segments advance without a drain barrier — draining between short
+    segments would insert a pipeline bubble into every control segment
+    and depress every measurement by the refill cost — and the knobs
+    are only moved (and flushed) when the profiled point changes."""
+
+    name = "adaptive"
 
     def __init__(
         self,
@@ -225,78 +227,19 @@ class AdaptiveTuner:
         detector: Optional[PageHinkley] = None,
         neighbor_step: float = NEIGHBOR_STEP,
     ) -> None:
-        if segment_iterations < 1:
-            raise TuningError("segment_iterations must be >= 1")
         if probe_period < 1:
             raise TuningError("probe_period must be >= 1")
         if not 0.0 < neighbor_step <= 0.5:
             raise TuningError("neighbor_step must be in (0, 0.5]")
-        if not job.scheduler.scheduled:
-            raise TuningError("adaptive tuning needs a priority scheduler")
-        if job.scheduler.kind == "dear":
-            raise TuningError(
-                "DeAR has no partition/credit knobs to tune — that is "
-                "its selling point"
-            )
-        self.job = job
-        self.space = space or SearchSpace()
+        super().__init__(job, space, segment_iterations, restart_penalty)
         self.seed = seed
-        self.segment_iterations = segment_iterations
-        self.restart_penalty = restart_penalty
         self.probe_period = probe_period
         self.detector = detector or PageHinkley()
         self.neighbor_step = neighbor_step
-        self._needs_restart = job.cluster.arch == "ps"
         self._arms: Dict[Point, _Arm] = {}
         self._neighbor_cursor = 0
-        self._reconfigures = 0
-        self._restart_overhead = 0.0
-        self._last_partition: Optional[float] = None
 
-    # -- small helpers mirrored from OnlineTuner ---------------------------
-
-    def _current_point(self) -> Optional[Point]:
-        core = self.job.master_core
-        partition = getattr(core, "partition_bytes", None)
-        credit = getattr(core, "credit_capacity", None)
-        if partition is None or credit is None:
-            return None
-        return (partition, credit)
-
-    def _train_segment(self, iterations: int) -> bool:
-        """Run ``iterations`` via :meth:`TrainingJob.advance`, which —
-        unlike an extend + drain barrier — leaves trailing communication
-        in flight across segment boundaries.  Draining between short
-        segments would insert a pipeline bubble into every control
-        segment and depress every measurement by the refill cost."""
-        job = self.job
-        if job.membership is not None:
-            before = job.membership.epoch
-            job.advance(iterations)
-            return job.membership.epoch != before
-        job.advance(iterations)
-        return False
-
-    def _reconfigure(self, point: Point) -> None:
-        partition, credit = point
-        if (
-            self._needs_restart
-            and self._last_partition is not None
-            and partition != self._last_partition
-        ):
-            self._restart_overhead += self.restart_penalty
-        self._last_partition = partition
-        self.job.reconfigure(partition_bytes=partition, credit_bytes=credit)
-        self._reconfigures += 1
-        self.job.trace.point(
-            "tuning.reconfigure", f"p={partition:g},c={credit:g}"
-        )
-
-    def _arm(self, point: Point) -> _Arm:
-        arm = self._arms.get(point)
-        if arm is None:
-            arm = self._arms[point] = _Arm()
-        return arm
+    # -- the knob lattice ---------------------------------------------------
 
     _OFFSET_DIRECTIONS = ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0))
 
@@ -310,9 +253,7 @@ class AdaptiveTuner:
                 neighbors.append(candidate)
         return neighbors
 
-    def _sweep_pairs(
-        self, point: Point
-    ) -> List[Tuple[Point, Optional[Point]]]:
+    def _sweep_pairs(self, point: Point) -> List[Tuple[Point, Optional[Point]]]:
         """Alarm-sweep candidates, one ``(1-hop, 2-hop)`` pair per axis
         direction.  The speed landscape is not unimodal — under a
         bandwidth drop the old and the new optimum can sit two lattice
@@ -331,13 +272,12 @@ class AdaptiveTuner:
                 continue
             seen.add(near)
             far = self._apply_delta(point, (2 * du * step, 2 * dv * step))
-            if far is not None and far in seen:
+            if far in seen:
                 far = None
-            if far is not None:
+            elif far is not None:
                 seen.add(far)
             pairs.append((near, far))
         return pairs
-
 
     def _next_probe(self, incumbent: Point) -> Point:
         """Round-robin over the incumbent's neighbours."""
@@ -360,14 +300,9 @@ class AdaptiveTuner:
         the move itself (e.g. out of a radius-2 sweep) jumped farther."""
         step = self.neighbor_step
         du, dv = delta
-        return (
-            min(max(du, -step), step),
-            min(max(dv, -step), step),
-        )
+        return (min(max(du, -step), step), min(max(dv, -step), step))
 
-    def _apply_delta(
-        self, point: Point, delta: Tuple[float, float]
-    ) -> Optional[Point]:
+    def _apply_delta(self, point: Point, delta: Tuple[float, float]) -> Optional[Point]:
         """``point`` shifted by ``delta`` in unit coordinates, clipped;
         None when the box edge swallows the step."""
         du, dv = delta
@@ -379,382 +314,290 @@ class AdaptiveTuner:
     # -- the control loop ---------------------------------------------------
 
     def run(
-        self,
-        segments: int = 12,
-        final_iterations: int = 4,
-        until: Optional[float] = None,
+        self, segments: int = 12, final_iterations: int = 4, until: Optional[float] = None
     ) -> AdaptiveTuningResult:
         """Drive ``segments`` control rounds, then finish on the
         incumbent knobs and report the final steady speed.  With
         ``until`` set, the loop also stops once simulated time passes
         it — the natural budget for a tracker, whose job is to stay
         live for a wall of time, not for a count of segments."""
-        if segments < 1:
-            raise TuningError("segments must be >= 1")
-        job = self.job
-        self._last_partition = getattr(
-            job.master_core, "partition_bytes", None
-        )
-
-        # Warm-up, then adopt whatever the job is running as incumbent.
-        self._train_segment(self.segment_iterations + 1)
+        self._start(segments)
+        # Adopt whatever the job is running after warm-up as incumbent.
         incumbent = self._current_point()
-        incumbent = self.space.clip(
+        self._incumbent = self._running = self.space.clip(
             incumbent if incumbent is not None else self.space.from_unit((0.5, 0.5))
         )
-        running = incumbent
-        timeline: List[Tuple[float, float, Point, float]] = []
-        history: List[Tuple[Point, float]] = []
-        change_points = 0
-        probes = 0
-        exploit_streak = 0
-        probe_backoff = 1
-        resweep: List[Point] = []
-        sweep_seen = {incumbent}
+        self._until = until
+        self._history: List[Tuple[Point, float]] = []
+        self._change_points = 0
+        self._probes = 0
+        self._probe_backoff = 1
+        self._clear_sweep()
         # One long descent fires Page-Hinkley repeatedly; once a sweep
         # has run, re-sweeping the same neighbourhood on the next drop
         # alarm mostly re-confirms it at full probe cost.  The flag
         # clears on a probe-confirmed move, a rise alarm (the
         # environment changed direction, so the chart is stale), or a
         # sparse alarm (see REARM_UPDATES).
-        drop_stayed = False
-        updates_since_cp = 0
-
-        def profile(
-            point: Point, iterations: Optional[int] = None
-        ) -> Tuple[Optional[float], bool]:
-            """Flush if the knobs moved, then profile one segment."""
-            nonlocal running
-            if point != running:
-                self._reconfigure(point)
-                running = point
-                if self._train_segment(PIPELINE_FLUSH_ITERATIONS):
-                    return None, True
-            start = job._built_iterations
-            t0 = job.env.now
-            epoch_changed = self._train_segment(
-                iterations or self.segment_iterations
-            )
-            if job._built_iterations <= start:
-                return None, epoch_changed
-            speed = job.segment_speed(start, job._built_iterations)
-            timeline.append((t0, job.env.now, point, speed))
-            history.append((point, speed))
-            self._arm(point).observe(speed, job.env.now)
-            return speed, epoch_changed
-
-        def on_change_point(label: str, sweep: bool = True) -> None:
-            """Localized model reset, settling burn-in, bracketed sweep."""
-            nonlocal change_points, resweep, sweep_seen, exploit_streak
-            nonlocal probe_backoff, incumbent, probes, drop_stayed
-            nonlocal updates_since_cp
-            updates_since_cp = 0
-            probe_backoff = 1
-            change_points += 1
-            job.trace.point("tuning.change_point", label)
-            self._arms.clear()
-            self.detector.reset()
-            # Settle at the incumbent: discard segments until two
-            # consecutive speeds agree within tolerance (PR 8's
-            # burn-in), so the re-sweep profiles the new environment,
-            # not the transient.  Membership events pay the full
-            # burn-in (state sync + pipeline refill decay over several
-            # iterations); a drift alarm settles at most two segments —
-            # a continuously moving environment never stabilises, and
-            # every segment spent waiting is a segment not tracking.
-            cap = (
-                MAX_SETTLE_SEGMENTS if label == "membership-epoch" else 2
-            )
-            previous = None
-            for _ in range(cap):
-                speed, epoch_changed = profile(incumbent)
-                if speed is None or epoch_changed:
-                    resweep = []
-                    sweep_seen = {incumbent}
-                    exploit_streak = 0
-                    return
-                if (
-                    previous is not None
-                    and abs(speed - previous) <= SETTLE_TOLERANCE * previous
-                ):
-                    break
-                previous = speed
-            if not sweep:
-                resweep = []
-                sweep_seen = {incumbent}
-                exploit_streak = 0
-                return
-            # Bracketed neighbourhood sweep.  The environment keeps
-            # moving while the sweep runs, so a candidate profiled two
-            # seconds after the settle cannot be judged against the
-            # settle-time sample — under a descent that stale bar
-            # vetoes everything, under a recovery it flatters
-            # everything.  Instead: sweep every candidate, re-observe
-            # the incumbent to close the bracket, and judge each
-            # sample against the incumbent baseline *interpolated to
-            # the moment it was taken*.
-            arm = self._arms.get(incumbent)
-            pre_t, pre_s = (arm.last_time, arm.last) if arm else (0.0, 0.0)
-            samples: List[Tuple[Point, float, float]] = []
-            probe_iterations = max(1, self.segment_iterations - 1)
-            aborted = False
-            for near, far in self._sweep_pairs(incumbent):
-                for candidate in (near, far):
-                    if candidate is None:
-                        continue
-                    if until is not None and job.env.now >= until:
-                        aborted = True
-                        break
-                    probes += 1
-                    speed, epoch_changed = profile(
-                        candidate, probe_iterations
-                    )
-                    if speed is None or epoch_changed:
-                        aborted = True
-                        break
-                    samples.append((candidate, job.env.now, speed))
-                    if candidate is near and speed < pre_s * (
-                        1.0 - 2.0 * MOVE_MARGIN
-                    ):
-                        break  # cliff: the 2-hop continuation won't pay
-                if aborted:
-                    break
-            resweep = []
-            sweep_seen = {incumbent}
-            exploit_streak = 0
-            if not samples or pre_s <= 0.0:
-                return
-            post_s, _ = profile(incumbent)
-            if post_s is None:
-                return
-            post_t = job.env.now
-
-            def baseline(t: float) -> float:
-                if post_t <= pre_t:
-                    return post_s
-                frac = (t - pre_t) / (post_t - pre_t)
-                return pre_s + (post_s - pre_s) * frac
-
-            best, best_ratio = None, 1.0 + MOVE_MARGIN
-            for candidate, t, speed in samples:
-                bar = baseline(t)
-                if bar > 0.0 and speed / bar > best_ratio:
-                    best, best_ratio = candidate, speed / bar
-            # One paid sweep per descent: whatever the verdict, the
-            # neighbourhood has been charted — momentum follow-probes
-            # and trend-aware probing track any further slide, and the
-            # flag re-arms when the environment turns (rise alarm).
-            if label == "page-hinkley":
-                drop_stayed = True
-            if best is not None:
-                delta = self._step_toward(self._unit_delta(incumbent, best))
-                incumbent = best
-                self.detector.reset()
-                # Momentum: re-observe the winner, then chain-test the
-                # next point in its direction (same as a probe move).
-                resweep = [incumbent]
-                sweep_seen = {incumbent}
-                follow = self._apply_delta(incumbent, delta)
-                if follow is not None:
-                    resweep.append(follow)
-                    sweep_seen.add(follow)
-
-        def incumbent_drifting() -> bool:
-            """True when the incumbent's own samples show a slope —
-            the trend-aware gate that keeps probing eager under drift
-            while backoff silences it on a stationary landscape."""
-            arm = self._arms.get(incumbent)
-            if arm is None or arm.last <= 0.0:
-                return False
-            reference = arm.reference(job.env.now)
-            return abs(reference - arm.last) > DRIFT_SLOPE * arm.last
-
+        self._drop_stayed = False
+        self._updates_since_cp = 0
         for _ in range(segments):
-            if until is not None and job.env.now >= until:
+            if self._out_of_time() or not self._control_segment():
                 break
-            in_sweep = False
-            period = (
-                2
-                if incumbent_drifting()
-                else self.probe_period * probe_backoff
-            )
-            if resweep:
-                point = resweep.pop(0)
-                role = "probe"
-                in_sweep = True
-            elif exploit_streak >= period - 1:
-                point = self._next_probe(incumbent)
-                role = "probe"
-                exploit_streak = 0
-            else:
-                point = incumbent
-                role = "exploit"
-                exploit_streak += 1
-            if role == "probe":
-                probes += 1
-            # Probe excursions measure one iteration less than exploit
-            # segments — the flush already absorbed the knob switch,
-            # and every extra iteration at a losing neighbour is pure
-            # drag.  The incumbent itself always gets a full segment.
-            iterations = self.segment_iterations
-            if role == "probe" and point != incumbent:
-                iterations = max(1, self.segment_iterations - 1)
-            speed, epoch_changed = profile(point, iterations)
-            if speed is None and not epoch_changed:
-                break  # parked below min_workers: nothing to profile
-            if epoch_changed:
-                on_change_point("membership-epoch")
-                continue
-            if role == "exploit":
-                updates_since_cp += 1
-                if self.detector.update(speed):
-                    # Asymmetric response: a drop can mean the optimum
-                    # fled across a valley — worth a paid sweep.  A
-                    # rise lifts the incumbent too; the retracing
-                    # optimum is found by ordinary probing, so only
-                    # the stale model is discarded.
-                    if updates_since_cp >= REARM_UPDATES:
-                        drop_stayed = False
-                    if self.detector.side == "rise":
-                        drop_stayed = False
-                        on_change_point("page-hinkley", sweep=False)
-                    else:
-                        on_change_point(
-                            "page-hinkley", sweep=not drop_stayed
-                        )
-                    continue
-            elif point != incumbent:
-                # Strictly local, recency-gated comparison: the probe
-                # just taken against the incumbent's *latest* sample.
-                # A global argmax over arms would let a stale arm —
-                # observed once before the environment moved and never
-                # decayed since — hijack the incumbent; and under a
-                # continuous descent even the incumbent's discounted
-                # mean lags high, vetoing genuinely better neighbours.
-                incumbent_arm = self._arms.get(incumbent)
-                reference = (
-                    incumbent_arm.reference(job.env.now)
-                    if incumbent_arm is not None
-                    else 0.0
-                )
-                if incumbent_arm is None or speed > reference * (
-                    1.0 + MOVE_MARGIN
-                ):
-                    # Provisional win.  The reference behind it is an
-                    # extrapolation, and in a staircase environment a
-                    # probe straddling a stair beats any stale bar, so
-                    # confirm by bracketing: re-observe the incumbent
-                    # and judge the probe against the incumbent
-                    # baseline interpolated to the probe's moment.
-                    confirmed = incumbent_arm is None
-                    if not confirmed:
-                        pre_t = incumbent_arm.last_time
-                        pre_s = incumbent_arm.last
-                        probe_t = job.env.now
-                        post_s, epoch_changed = profile(incumbent)
-                        if epoch_changed:
-                            on_change_point("membership-epoch")
-                            continue
-                        if post_s is None:
-                            break
-                        post_t = job.env.now
-                        if post_t > pre_t and pre_s > 0.0:
-                            frac = (probe_t - pre_t) / (post_t - pre_t)
-                            bar = pre_s + (post_s - pre_s) * frac
-                        else:
-                            bar = post_s
-                        confirmed = bar > 0.0 and speed > bar * (
-                            1.0 + MOVE_MARGIN
-                        )
-                        if (
-                            pre_s > 0.0
-                            and abs(post_s - pre_s) > BRACKET_JUMP * pre_s
-                        ):
-                            # The environment stepped inside the
-                            # bracket (see BRACKET_JUMP): any verdict
-                            # from it would compare across regimes.
-                            confirmed = False
-                    if confirmed:
-                        delta = self._step_toward(
-                            self._unit_delta(incumbent, point)
-                        )
-                        incumbent = point
-                        self.detector.reset()
-                        updates_since_cp = 0
-                        probe_backoff = 1
-                        drop_stayed = False
-                        # Momentum hill-climb: the winning probe's
-                        # sample may carry knob-switch transient, so
-                        # re-observe the new incumbent first
-                        # (steadying the reference further moves are
-                        # judged against), then chain-test one lattice
-                        # hop onward in the winning direction.  A full
-                        # neighbourhood sweep is reserved for change-
-                        # point alarms.
-                        resweep = [incumbent]
-                        sweep_seen = {incumbent}
-                        follow = self._apply_delta(incumbent, delta)
-                        if follow is not None:
-                            resweep.append(follow)
-                            sweep_seen.add(follow)
-                else:
-                    if not in_sweep:
-                        probe_backoff = min(
-                            probe_backoff * 2, MAX_PROBE_BACKOFF
-                        )
-                    trending_down = (
-                        incumbent_arm is not None
-                        and reference < incumbent_arm.last
-                    )
-                    if (in_sweep or trending_down) and speed >= reference:
-                        # Shallow-gradient look-ahead: a probe that
-                        # ties the incumbent marks a flat direction —
-                        # the two-hop point can clear the margin even
-                        # when the first hop cannot (the landscape has
-                        # a saddle between the old and the drifted
-                        # optimum).  Periodic probes only look ahead
-                        # while the incumbent is degrading, when the
-                        # optimum is expected to be several hops out.
-                        ahead = self._apply_delta(
-                            point, self._unit_delta(incumbent, point)
-                        )
-                        if ahead is not None and ahead not in sweep_seen:
-                            sweep_seen.add(ahead)
-                            resweep.append(ahead)
-
-        if not history:
-            raise TuningError(
-                "no tuning segment completed (job parked immediately)"
-            )
+        if not self._history:
+            raise TuningError("no tuning segment completed (job parked immediately)")
         # Finish on the tracked incumbent — under drift it is the only
         # point whose arm reflects the *current* environment.
-        if incumbent != running:
-            self._reconfigure(incumbent)
-            running = incumbent
-        self._train_segment(PIPELINE_FLUSH_ITERATIONS)
-        start = job._built_iterations
-        t0 = job.env.now
-        self._train_segment(final_iterations)
-        if job._built_iterations <= start:
-            raise TuningError("job parked before the final measurement")
-        final_speed = job.segment_speed(start, job._built_iterations)
-        timeline.append((t0, job.env.now, incumbent, final_speed))
-        record_tuning_stats(
-            job,
-            "adaptive",
-            reconfigures=self._reconfigures,
-            change_points=change_points,
-            best_point=incumbent,
-            restart_overhead=self._restart_overhead,
-            timeline=timeline,
-        )
+        final_speed = self._finish(self._incumbent, final_iterations, self._change_points)
         return AdaptiveTuningResult(
-            best_point=incumbent,
+            best_point=self._incumbent,
             final_speed=final_speed,
-            change_points=change_points,
+            change_points=self._change_points,
             reconfigures=self._reconfigures,
-            probes=probes,
-            restart_overhead=self._restart_overhead,
-            segments=history,
-            timeline=timeline,
+            probes=self._probes,
+            restart_overhead=self.restart_overhead,
+            segments=self._history,
+            timeline=self.timeline,
         )
+
+    def _out_of_time(self) -> bool:
+        return self._until is not None and self.job.env.now >= self._until
+
+    def _profile(self, point: Point, iterations: Optional[int] = None) -> Window:
+        """Flush if the knobs moved, then profile one segment into its arm."""
+        if point != self._running:
+            self._move(point)
+            if self._flush():
+                return None, True
+        speed, epoch_changed = self._window(point, iterations or self.segment_iterations)
+        if speed is not None:
+            self._history.append((point, speed))
+            self._arms.setdefault(point, _Arm()).observe(speed, self.job.env.now)
+        return speed, epoch_changed
+
+    def _control_segment(self) -> bool:
+        """Exploit the incumbent or probe a neighbour for one segment,
+        and react to what it measured; False once the job parked."""
+        incumbent = self._incumbent
+        in_sweep = False
+        period = 2 if self._incumbent_drifting() else self.probe_period * self._probe_backoff
+        if self._resweep:
+            point = self._resweep.pop(0)
+            probe = in_sweep = True
+        elif self._exploit_streak >= period - 1:
+            point = self._next_probe(incumbent)
+            probe = True
+            self._exploit_streak = 0
+        else:
+            point = incumbent
+            probe = False
+            self._exploit_streak += 1
+        # Probe excursions measure one iteration less than exploit
+        # segments — the flush already absorbed the knob switch, and
+        # every extra iteration at a losing neighbour is pure drag.
+        # The incumbent itself always gets a full segment.
+        iterations = self.segment_iterations
+        if probe:
+            self._probes += 1
+            if point != incumbent:
+                iterations = max(1, self.segment_iterations - 1)
+        speed, epoch_changed = self._profile(point, iterations)
+        if speed is None and not epoch_changed:
+            return False  # parked below min_workers: nothing to profile
+        if epoch_changed:
+            self._on_change_point("membership-epoch")
+        elif not probe:
+            self._updates_since_cp += 1
+            if self.detector.update(speed):
+                # Asymmetric response: a drop can mean the optimum fled
+                # across a valley — worth a paid sweep.  A rise lifts
+                # the incumbent too; the retracing optimum is found by
+                # ordinary probing, so only the stale model is
+                # discarded.
+                if self._updates_since_cp >= REARM_UPDATES:
+                    self._drop_stayed = False
+                if self.detector.side == "rise":
+                    self._drop_stayed = False
+                    self._on_change_point("page-hinkley", sweep=False)
+                else:
+                    self._on_change_point("page-hinkley", sweep=not self._drop_stayed)
+        elif point != incumbent:
+            return self._judge_probe(point, speed, in_sweep)
+        return True
+
+    def _judge_probe(self, point: Point, speed: float, in_sweep: bool) -> bool:
+        """Strictly local, recency-gated comparison: the probe just
+        taken against the incumbent's *latest* sample.  A global argmax
+        over arms would let a stale arm — observed once before the
+        environment moved and never decayed since — hijack the
+        incumbent; and under a continuous descent even the incumbent's
+        discounted mean lags high, vetoing genuinely better neighbours.
+        False once the job parked."""
+        incumbent = self._incumbent
+        incumbent_arm = self._arms.get(incumbent)
+        reference = 0.0 if incumbent_arm is None else incumbent_arm.reference(self.job.env.now)
+        if incumbent_arm is None or speed > reference * (1.0 + MOVE_MARGIN):
+            # Provisional win.  The reference behind it is an
+            # extrapolation, and in a staircase environment a probe
+            # straddling a stair beats any stale bar, so confirm by
+            # bracketing: re-observe the incumbent and judge the probe
+            # against the incumbent baseline interpolated to the
+            # probe's moment.
+            confirmed = incumbent_arm is None
+            if not confirmed:
+                pre_t, pre_s = incumbent_arm.last_time, incumbent_arm.last
+                probe_t = self.job.env.now
+                post_s, epoch_changed = self._profile(incumbent)
+                if epoch_changed:
+                    self._on_change_point("membership-epoch")
+                    return True
+                if post_s is None:
+                    return False
+                bar = _bracketed(pre_t, pre_s, self.job.env.now, post_s, probe_t)
+                confirmed = bar > 0.0 and speed > bar * (1.0 + MOVE_MARGIN)
+                if pre_s > 0.0 and abs(post_s - pre_s) > BRACKET_JUMP * pre_s:
+                    # The environment stepped inside the bracket (see
+                    # BRACKET_JUMP): any verdict from it would compare
+                    # across regimes.
+                    confirmed = False
+            if confirmed:
+                self._move_incumbent(point)
+                self._drop_stayed = False
+            return True
+        if not in_sweep:
+            self._probe_backoff = min(self._probe_backoff * 2, MAX_PROBE_BACKOFF)
+        trending_down = incumbent_arm is not None and reference < incumbent_arm.last
+        if (in_sweep or trending_down) and speed >= reference:
+            # Shallow-gradient look-ahead: a probe that ties the
+            # incumbent marks a flat direction — the two-hop point can
+            # clear the margin even when the first hop cannot (the
+            # landscape has a saddle between the old and the drifted
+            # optimum).  Periodic probes only look ahead while the
+            # incumbent is degrading, when the optimum is expected to
+            # be several hops out.
+            ahead = self._apply_delta(point, self._unit_delta(incumbent, point))
+            if ahead is not None and ahead not in self._sweep_seen:
+                self._sweep_seen.add(ahead)
+                self._resweep.append(ahead)
+        return True
+
+    def _move_incumbent(self, point: Point) -> None:
+        """Adopt ``point`` as incumbent and restart detection and the
+        probe cadence.  Momentum hill-climb: the winning sample may
+        carry knob-switch transient, so re-observe the new incumbent
+        first (steadying the reference further moves are judged
+        against), then chain-test one lattice hop onward in the winning
+        direction.  A full neighbourhood sweep is reserved for
+        change-point alarms."""
+        delta = self._step_toward(self._unit_delta(self._incumbent, point))
+        self._incumbent = point
+        self.detector.reset()
+        self._updates_since_cp = 0
+        self._probe_backoff = 1
+        self._resweep = [point]
+        self._sweep_seen = {point}
+        follow = self._apply_delta(point, delta)
+        if follow is not None:
+            self._resweep.append(follow)
+            self._sweep_seen.add(follow)
+
+    def _incumbent_drifting(self) -> bool:
+        """True when the incumbent's own samples show a slope — the
+        trend-aware gate that keeps probing eager under drift while
+        backoff silences it on a stationary landscape."""
+        arm = self._arms.get(self._incumbent)
+        if arm is None or arm.last <= 0.0:
+            return False
+        reference = arm.reference(self.job.env.now)
+        return abs(reference - arm.last) > DRIFT_SLOPE * arm.last
+
+    def _on_change_point(self, label: str, sweep: bool = True) -> None:
+        """Localized model reset, settling burn-in, bracketed sweep."""
+        self._updates_since_cp = 0
+        self._probe_backoff = 1
+        self._change_points += 1
+        self.job.trace.point("tuning.change_point", label)
+        self._arms.clear()
+        self.detector.reset()
+        # Settle at the incumbent so the re-sweep profiles the new
+        # environment, not the transient.  Membership events pay the
+        # full burn-in (state sync + pipeline refill decay over several
+        # iterations); a drift alarm settles at most two segments — a
+        # continuously moving environment never stabilises, and every
+        # segment spent waiting is a segment not tracking.
+        cap = MAX_SETTLE_SEGMENTS if label == "membership-epoch" else 2
+        speed, epoch_changed = self._settle(lambda: self._profile(self._incumbent), cap)
+        if speed is not None and not epoch_changed and sweep:
+            self._sweep(label)
+        else:
+            self._clear_sweep()
+
+    def _clear_sweep(self) -> None:
+        self._resweep = []
+        self._sweep_seen = {self._incumbent}
+        self._exploit_streak = 0
+
+    def _sweep(self, label: str) -> None:
+        """Bracketed neighbourhood sweep.  The environment keeps moving
+        while the sweep runs, so a candidate profiled two seconds after
+        the settle cannot be judged against the settle-time sample —
+        under a descent that stale bar vetoes everything, under a
+        recovery it flatters everything.  Instead: sweep every
+        candidate, re-observe the incumbent to close the bracket, and
+        judge each sample against the incumbent baseline *interpolated
+        to the moment it was taken*."""
+        incumbent = self._incumbent
+        arm = self._arms.get(incumbent)
+        pre_t, pre_s = (arm.last_time, arm.last) if arm else (0.0, 0.0)
+        samples = self._chart(incumbent, pre_s)
+        self._clear_sweep()
+        if not samples or pre_s <= 0.0:
+            return
+        post_s, _ = self._profile(incumbent)
+        if post_s is None:
+            return
+        post_t = self.job.env.now
+        best, best_ratio = None, 1.0 + MOVE_MARGIN
+        for candidate, t, speed in samples:
+            bar = _bracketed(pre_t, pre_s, post_t, post_s, t)
+            if bar > 0.0 and speed / bar > best_ratio:
+                best, best_ratio = candidate, speed / bar
+        # One paid sweep per descent: whatever the verdict, the
+        # neighbourhood has been charted — momentum follow-probes and
+        # trend-aware probing track any further slide, and the flag
+        # re-arms when the environment turns (rise alarm).
+        if label == "page-hinkley":
+            self._drop_stayed = True
+        if best is not None:
+            self._move_incumbent(best)
+
+    def _chart(self, incumbent: Point, pre_s: float) -> List[Tuple[Point, float, float]]:
+        """Profile the sweep candidates around ``incumbent`` as
+        ``(point, time, speed)`` samples, stopping early at the time
+        budget, a parked job or a membership epoch."""
+        samples: List[Tuple[Point, float, float]] = []
+        probe_iterations = max(1, self.segment_iterations - 1)
+        for near, far in self._sweep_pairs(incumbent):
+            for candidate in (near, far):
+                if candidate is None:
+                    continue
+                if self._out_of_time():
+                    return samples
+                self._probes += 1
+                speed, epoch_changed = self._profile(candidate, probe_iterations)
+                if speed is None or epoch_changed:
+                    return samples
+                samples.append((candidate, self.job.env.now, speed))
+                if candidate is near and speed < pre_s * (1.0 - 2.0 * MOVE_MARGIN):
+                    break  # cliff: the 2-hop continuation won't pay
+        return samples
+
+
+def _bracketed(pre_t: float, pre_s: float, post_t: float, post_s: float, t: float) -> float:
+    """The incumbent's speed at ``t``, interpolated between the samples
+    ``(pre_t, pre_s)`` and ``(post_t, post_s)`` that bracket it; the
+    later sample alone when the earlier one is missing."""
+    if post_t <= pre_t or pre_s <= 0.0:
+        return post_s
+    frac = (t - pre_t) / (post_t - pre_t)
+    return pre_s + (post_s - pre_s) * frac

@@ -66,8 +66,11 @@ class AutoTuner:
         noise: float = 0.0,
         restart_penalty: float = 0.0,
     ) -> None:
-        if noise < 0 or restart_penalty < 0:
-            raise TuningError("noise and restart_penalty must be >= 0")
+        if not noise >= 0 or not restart_penalty >= 0:  # also rejects NaN
+            raise TuningError(
+                f"noise and restart_penalty must be >= 0, got "
+                f"noise={noise!r}, restart_penalty={restart_penalty!r}"
+            )
         self.objective = objective
         self.space = space or SearchSpace()
         self.searcher: Searcher = make_searcher(method, self.space, seed=seed)

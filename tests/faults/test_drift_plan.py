@@ -151,6 +151,15 @@ def test_drift_clauses_round_trip_through_the_grammar():
     assert plan.to_spec() == spec
 
 
+def test_whole_cycle_window_is_not_given_an_extra_step():
+    # 18.1 - 11.7 is 6.400000000000002 in binary floats: 64 cycles of
+    # 0.1 must still sample exactly the 4096-step cap, not 4097.
+    fault = DriftFault("diurnal", "w0", "up", 11.7, 18.1, period=0.1, level=0.1)
+    assert fault.steps == MAX_DRIFT_STEPS
+    plan = FaultPlan(drift=(fault,), seed=0)
+    assert FaultPlan.parse(plan.to_spec()) == plan
+
+
 # Draw grammar-exact values: short decimals print verbatim under the
 # ``%g`` formatting ``to_spec`` uses, so equality is exact.
 tenths = st.integers(min_value=0, max_value=400).map(lambda n: n / 10)

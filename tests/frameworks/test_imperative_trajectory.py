@@ -11,9 +11,10 @@ The property test replays random programs on the engine and on
 :class:`StoreDrivenEngine`, a copy of that Store-backed driver kept only
 as the oracle, and requires identical per-op timings and an identical
 global order of observable firings.  The kernel no longer has
-generator processes or a wait-for-all condition, so the oracle runs on
-test-local copies of the two (:class:`_Process`, :func:`_all_of`) that
-schedule their events at the points the kernel's did.  The failure tests hold the engine
+generator processes, a wait-for-all condition or a Store, so the oracle
+runs on test-local copies of the three (:class:`_Process`,
+:func:`_all_of`, :class:`_Fifo`) that schedule their events at the
+points the kernel's did.  The failure tests hold the engine
 to the same oracle when a release, a completion or a barrier
 dependency fails: the same exception from ``env.run()``, raised by the
 same kernel entry.
@@ -29,7 +30,7 @@ from hypothesis import strategies as st
 
 from repro.frameworks import EngineOp, OpKind, PyTorchEngine
 from repro.frameworks.engine import Engine
-from repro.sim import Environment, Event, Store
+from repro.sim import Environment, Event
 from repro.training import ClusterSpec, SchedulerSpec, TrainingJob, resolve_model
 
 
@@ -126,12 +127,38 @@ def _all_of(env: Environment, events) -> Event:
     return done
 
 
+class _Fifo:
+    """An unbounded FIFO of items, scheduled as the kernel's Store was: a
+    put schedules an entry that nothing listens to, and a get is an
+    event that succeeds with the oldest item once there is one."""
+
+    def __init__(self, env: Environment) -> None:
+        self.env = env
+        self._items = deque()
+        self._getters = deque()
+
+    def put(self, item) -> None:
+        self.env.event().succeed()
+        self._items.append(item)
+        self._serve()
+
+    def get(self) -> Event:
+        get = self.env.event()
+        self._getters.append(get)
+        self._serve()
+        return get
+
+    def _serve(self) -> None:
+        while self._items and self._getters:
+            self._getters.popleft().succeed(self._items.popleft())
+
+
 class StoreDrivenEngine(Engine):
-    """The imperative driver as it was on a :class:`~repro.sim.Store`."""
+    """The imperative driver as it was on the kernel's Store."""
 
     def __init__(self, env: Environment) -> None:
         super().__init__(env, "store-driven")
-        self._program = Store(env)
+        self._program = _Fifo(env)
         _Process(env, self._run())
 
     def _accept(self, op: EngineOp) -> None:

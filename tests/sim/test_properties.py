@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Environment, Resource, Store
+from repro.sim import Environment
 
 
 @given(delays=st.lists(st.floats(min_value=0.0, max_value=100.0), min_size=1, max_size=40))
@@ -33,61 +33,6 @@ def test_equal_time_events_fire_in_schedule_order(delays):
     # Stable: among equal delays, earlier-scheduled fires first.
     by_key = sorted(range(len(delays)), key=lambda i: (delays[i], i))
     assert fired == by_key
-
-
-@given(
-    capacity=st.integers(min_value=1, max_value=5),
-    holds=st.lists(st.floats(min_value=0.01, max_value=2.0), min_size=1, max_size=25),
-)
-@settings(max_examples=40, deadline=None)
-def test_resource_never_exceeds_capacity(capacity, holds):
-    env = Environment()
-    resource = Resource(env, capacity=capacity)
-    concurrent = [0]
-    peak = [0]
-
-    def granted(grant, hold):
-        concurrent[0] += 1
-        peak[0] = max(peak[0], concurrent[0])
-        env.timeout(hold).callbacks.append(lambda _timeout: finished(grant))
-
-    def finished(grant):
-        concurrent[0] -= 1
-        resource.release(grant)
-
-    for hold in holds:
-        resource.request().callbacks.append(lambda grant, h=hold: granted(grant, h))
-    env.run()
-    assert peak[0] <= capacity
-    assert concurrent[0] == 0
-    assert resource.count == 0
-
-
-@given(items=st.lists(st.integers(), min_size=1, max_size=30))
-@settings(max_examples=40, deadline=None)
-def test_store_preserves_fifo_order(items):
-    env = Environment()
-    store = Store(env)
-    received = []
-
-    def produce(index):
-        if index < len(items):
-            store.put(items[index]).callbacks.append(
-                lambda _put: env.defer(produce, index + 1, 0.1)
-            )
-
-    def consume(remaining):
-        if remaining:
-            store.get().callbacks.append(lambda get: got(get, remaining))
-
-    def got(get, remaining):
-        received.append(get.value)
-        consume(remaining - 1)
-
-    produce(0)
-    consume(len(items))
-    env.run()
-    assert received == items
 
 
 @given(

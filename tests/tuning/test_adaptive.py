@@ -1,5 +1,7 @@
 """The drift-tracking adaptive tuner: detector, lattice moves, e2e."""
 
+import math
+
 import pytest
 
 from repro.errors import TuningError
@@ -89,6 +91,12 @@ def test_page_hinkley_validation():
         PageHinkley(delta=-0.1)
     with pytest.raises(TuningError):
         PageHinkley(threshold=0.0)
+
+
+@pytest.mark.parametrize("knobs", [{"delta": math.nan}, {"threshold": math.nan}])
+def test_page_hinkley_rejects_nan_knobs(knobs):
+    with pytest.raises(TuningError):
+        PageHinkley(**knobs)
 
 
 # -- construction and validation -------------------------------------------

@@ -1,11 +1,13 @@
 """Tests for the §7 extensions: online re-tuning and per-layer partitions."""
 
+import math
+
 import pytest
 
 from repro.errors import SchedulerError, TuningError
 from repro.models import custom_model
 from repro.training import ClusterSpec, SchedulerSpec, TrainingJob
-from repro.tuning import OnlineTuner, SearchSpace
+from repro.tuning import AdaptiveTuner, OnlineTuner, SearchSpace
 from repro.units import MB
 
 
@@ -82,6 +84,13 @@ def test_online_tuner_validation():
     tuner = OnlineTuner(job, space=SPACE)
     with pytest.raises(TuningError):
         tuner.run(segments=0)
+
+
+@pytest.mark.parametrize("tuner_cls", [OnlineTuner, AdaptiveTuner])
+@pytest.mark.parametrize("penalty", [-1.0, math.nan])
+def test_live_tuners_reject_bad_restart_penalty(tuner_cls, penalty):
+    with pytest.raises(TuningError, match="restart_penalty"):
+        tuner_cls(make_job(arch="ps"), space=SPACE, restart_penalty=penalty)
 
 
 def test_job_reconfigure_applies_to_later_iterations():
@@ -210,6 +219,38 @@ def test_first_differing_suggestion_charges_restart():
     # One partition change (2 MB -> 8 MB on the first segment), then
     # the stub holds the point steady: exactly one penalty.
     assert result.restart_overhead == pytest.approx(7.0)
+
+
+class _ScriptedSearcher(_FixedSearcher):
+    """Stub searcher that suggests ``points`` in turn and names
+    ``best_point`` the best, whatever it measured."""
+
+    def __init__(self, points, best_point):
+        super().__init__(None)
+        self._points = list(points)
+        self._best_point = best_point
+
+    def suggest(self):
+        return self._points.pop(0)
+
+    def best(self):
+        return self._best_point, 0.0
+
+
+def test_final_switch_to_best_charges_restart():
+    # Regression: the finish moves back to the best point, and on PS
+    # that partition change is a checkpoint-restart like any other.
+    job = make_job(arch="ps", partition=2 * MB, credit=8 * MB)
+    tuner = OnlineTuner(job, space=SPACE, segment_iterations=2,
+                        restart_penalty=7.0)
+    tuner.searcher = _ScriptedSearcher(
+        [(8 * MB, 8 * MB), (2 * MB, 8 * MB), (2 * MB, 8 * MB)],
+        best_point=(8 * MB, 8 * MB),
+    )
+    result = tuner.run(segments=3, final_iterations=2)
+    # 2 -> 8 MB, 8 -> 2 MB, then the final 2 -> 8 MB: three restarts.
+    assert result.restart_overhead == pytest.approx(21.0)
+    assert job.master_core.partition_bytes == 8 * MB
 
 
 def test_unchanged_suggestion_is_free():

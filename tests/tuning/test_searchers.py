@@ -194,6 +194,19 @@ def test_autotuner_validation():
         tuner.run(max_trials=0)
 
 
+@pytest.mark.parametrize(
+    "knobs",
+    [
+        {"noise": math.nan},
+        {"restart_penalty": -1.0},
+        {"restart_penalty": math.nan},
+    ],
+)
+def test_autotuner_rejects_bad_knobs(knobs):
+    with pytest.raises(TuningError):
+        AutoTuner(quadratic_objective, space=SPACE, **knobs)
+
+
 def test_trials_to_reach():
     tuner = AutoTuner(quadratic_objective, space=SPACE, method="grid")
     result = tuner.run(max_trials=20)
