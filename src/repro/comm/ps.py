@@ -36,6 +36,13 @@ every hop in between is a plain callback:
   pull with ``_on_pull_delivered`` as its delivery callback.
 * ``_on_pull_delivered`` succeeds the worker's ``done`` event.
 
+With metrics on, each of the three delivery callbacks (``_pushed``,
+``_on_replay_delivered``, ``_on_pull_delivered``) first observes its
+transfer's hand-off → first-delivery latency.  The hand-off time rides
+in the closure or lambda each callback already is (a cell of
+``_pushed``, a default argument of each pull's lambda), so metrics add
+no per-transfer wrapper.
+
 The rule that keeps trajectories exact: every hop takes one kernel
 entry, issued at the moment the hop completes (a delivery, an ack
 timer, an update completion), and runs its callbacks inside it in a
@@ -239,12 +246,16 @@ class PSBackend(CommBackend):
         # returns credit inside the push's own delivery entry.
         sent = Event(env)
         ack_delay = self.ack_delay
+        handed = env._now
 
         def _pushed(msg: Message) -> None:
+            if self._obs is not None:
+                self._obs.latency.observe(env._now - handed)
             if replay:
                 pull = Message(server, worker, chunk.size, kind="pull", payload=chunk)
                 self._transfer(
-                    pull, lambda _msg: None if done.triggered else done.succeed(chunk)
+                    pull,
+                    lambda _msg, t=env._now: self._on_replay_delivered(chunk, done, t),
                 )
             else:
                 self._on_push_delivered(chunk, server)
@@ -273,19 +284,14 @@ class PSBackend(CommBackend):
         real bandwidth) with an exponentially longer deadline.  The
         first copy to arrive wins: its delivery entry defers
         ``on_delivered`` into an entry of its own, later copies are
-        ignored.  With metrics on, the hand-off → first-delivery
-        latency is observed before ``on_delivered`` runs.
+        ignored.
+
+        With metrics on, ``on_delivered`` observes the latency itself,
+        first thing, against the hand-off time its caller took when
+        making this call: one observation per call, and a retransmit is
+        measured from the original hand-off.
         """
         env = self.env
-        if self._obs is not None:
-            latency = self._obs.latency
-            started = env._now
-            deliver = on_delivered
-
-            def on_delivered(msg: Message) -> None:
-                latency.observe(env._now - started)
-                deliver(msg)
-
         if self.retry is None:
             self.fabric.send(message, on_delivered)
             return
@@ -429,10 +435,14 @@ class PSBackend(CommBackend):
         def _send_pulls(_update: Optional[Message] = None) -> None:
             if server in self._down:
                 return  # the server died mid-update; recovery re-drives
+            handed = self.env._now
             for worker in pullers:
                 pull = Message(server, worker, chunk.size, kind="pull", payload=chunk)
                 self._transfer(
-                    pull, lambda _msg, w=worker: self._on_pull_delivered(chunk, w)
+                    pull,
+                    lambda _msg, w=worker, t=handed: self._on_pull_delivered(
+                        chunk, w, t
+                    ),
                 )
 
         if run_update:
@@ -441,7 +451,19 @@ class PSBackend(CommBackend):
         else:
             _send_pulls()
 
-    def _on_pull_delivered(self, chunk: ChunkSpec, worker: str) -> None:
+    def _on_replay_delivered(
+        self, chunk: ChunkSpec, done: Event, handed: float
+    ) -> None:
+        if self._obs is not None:
+            self._obs.latency.observe(self.env._now - handed)
+        if not done.triggered:
+            done.succeed(chunk)
+
+    def _on_pull_delivered(
+        self, chunk: ChunkSpec, worker: str, handed: float
+    ) -> None:
+        if self._obs is not None:
+            self._obs.latency.observe(self.env._now - handed)
         state = self._pending.get(chunk.key)
         if state is None:
             return

@@ -115,7 +115,7 @@ class DeARCore(ByteSchedulerCore):
             return
         self._rs_pending.append(subtask)
         if self._obs is not None:
-            self._obs.queue_depth.set(self.queued)
+            self._obs.queue_depth.set(self.queued, self.env._now)
         self._kick()
 
     def _schedule(self) -> None:

@@ -189,11 +189,15 @@ class ByteSchedulerCore:
         )
 
     def _credit_used(self) -> float:
-        """Bytes of credit currently lent out (0 for an infinite window,
-        where occupancy is not a meaningful fraction)."""
-        if math.isinf(self.credit_capacity):
+        """Bytes of credit currently lent out, ``capacity - credit`` (0
+        for an infinite window, where occupancy is not a meaningful
+        fraction).  Spelled out rather than read through :attr:`credit`,
+        and inlined at the two per-partition sites (start, sent), so a
+        credit-occupancy update stays one call."""
+        capacity = self.credit_capacity
+        if capacity == math.inf:
             return 0.0
-        return self.credit_capacity - self.credit
+        return capacity - max(0.0, capacity - self._lent)
 
     def shutdown(self) -> None:
         """Stop scheduling; queued subtasks are abandoned."""
@@ -263,7 +267,7 @@ class ByteSchedulerCore:
                 raise SchedulerError(f"credit must be > 0, got {credit_bytes!r}")
             self.credit_capacity = float(credit_bytes)
             if self._obs is not None:
-                self._obs.credit_used.set(self._credit_used())
+                self._obs.credit_used.set(self._credit_used(), self.env._now)
             self._kick()
 
     # -- event-driven Algorithm 1 -----------------------------------------
@@ -285,7 +289,7 @@ class ByteSchedulerCore:
             if self._obs is not None:
                 self._obs.preemptions.inc()
         if self._obs is not None:
-            self._obs.queue_depth.set(len(self._queue))
+            self._obs.queue_depth.set(len(self._queue), self.env._now)
         self._kick()
 
     def _kick(self) -> None:
@@ -319,7 +323,7 @@ class ByteSchedulerCore:
                 # of having the canceller scan the heap.
                 heapq.heappop(self._queue)
                 if self._obs is not None:
-                    self._obs.queue_depth.set(len(self._queue))
+                    self._obs.queue_depth.set(len(self._queue), self.env._now)
                 continue
             if self._blocked_nodes:
                 target = self.backend.chunk_targets(subtask.chunk())
@@ -331,7 +335,7 @@ class ByteSchedulerCore:
                     entry = heapq.heappop(self._queue)
                     self._parked.setdefault(target, []).append(entry)
                     if self._obs is not None:
-                        self._obs.queue_depth.set(len(self._queue))
+                        self._obs.queue_depth.set(len(self._queue), self.env._now)
                     continue
             fits = self.credit >= subtask.size
             # Liveness escape: with nothing in flight, no credit will
@@ -347,11 +351,19 @@ class ByteSchedulerCore:
                 self._unsent_charged += 1
             else:
                 self.escape_starts += 1
-            if self._obs is not None:
-                self._obs.queue_depth.set(len(self._queue))
-                self._obs.credit_used.set(self._credit_used())
+            obs = self._obs
+            if obs is not None:
+                now = self.env._now
+                capacity = self.credit_capacity
+                obs.queue_depth.set(len(self._queue), now)
+                obs.credit_used.set(
+                    0.0
+                    if capacity == math.inf
+                    else capacity - max(0.0, capacity - self._lent),
+                    now,
+                )
                 if not fits:
-                    self._obs.escapes.inc()
+                    obs.escapes.inc()
             self._start(subtask, charged=fits)
 
     def _start(self, subtask: SubCommTask, charged: bool) -> None:
@@ -389,8 +401,15 @@ class ByteSchedulerCore:
                 # from mixed partition sizes so `credit == capacity`
                 # stays exact.
                 self._lent = 0.0
-        if self._obs is not None:
-            self._obs.credit_used.set(self._credit_used())
+        obs = self._obs
+        if obs is not None:
+            capacity = self.credit_capacity
+            obs.credit_used.set(
+                0.0
+                if capacity == math.inf
+                else capacity - max(0.0, capacity - self._lent),
+                self.env._now,
+            )
         self._kick()
 
     def _finish(self, flight: _Flight) -> None:
@@ -422,7 +441,7 @@ class ByteSchedulerCore:
         for entry in released:
             heapq.heappush(self._queue, entry)
         if self._obs is not None:
-            self._obs.queue_depth.set(len(self._queue))
+            self._obs.queue_depth.set(len(self._queue), self.env._now)
         if released:
             self._kick()
 
@@ -463,7 +482,7 @@ class ByteSchedulerCore:
             drained.append(subtask)
         self.drained_subtasks += len(drained)
         if self._obs is not None:
-            self._obs.credit_used.set(self._credit_used())
+            self._obs.credit_used.set(self._credit_used(), self.env._now)
         self.check_credit_invariant()
         self._kick()
         return drained
@@ -481,7 +500,7 @@ class ByteSchedulerCore:
             heapq.heappush(self._queue, (subtask.priority, self._seq, subtask))
             self.requeued_subtasks += 1
         if self._obs is not None:
-            self._obs.queue_depth.set(len(self._queue))
+            self._obs.queue_depth.set(len(self._queue), self.env._now)
         self.check_credit_invariant()
         self._kick()
 

@@ -18,13 +18,21 @@ Instruments are created through a :class:`MetricsRegistry`, which also
 collects per-iteration sample rows appended by the training runner and
 serialises everything to a plain JSON-compatible dict.  Components hold
 ``None`` instead of a registry when metrics are off, so the disabled
-hot path stays at a single attribute check.
+hot path stays at a single attribute check.  With metrics on, every
+update is one Python call that allocates nothing: time-weighted
+updates take the simulated time from their caller instead of calling
+a clock, and histograms bucket with C :func:`bisect.bisect_left`.
+
+Every update rejects NaN with :class:`~repro.errors.ConfigError` — a
+NaN would silently poison a total, a mean or a bucket.  ±inf is a
+legal value.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
@@ -54,8 +62,8 @@ class Counter:
         self.value = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ConfigError(f"counter {self.name} cannot decrease")
+        if not amount >= 0:  # also rejects NaN
+            raise ConfigError(f"counter {self.name} cannot add {amount!r}")
         self.value += amount
 
     def to_dict(self) -> Dict[str, Any]:
@@ -72,6 +80,8 @@ class Gauge:
         self.value = 0.0
 
     def set(self, value: float) -> None:
+        if value != value:
+            raise ConfigError(f"gauge {self.name} cannot be set to NaN")
         self.value = float(value)
 
     def to_dict(self) -> Dict[str, Any]:
@@ -83,13 +93,20 @@ class Histogram:
 
     ``observe`` is O(log buckets); the bucket list is cumulative-free
     (each slot counts values ≤ its bound and > the previous bound, with
-    one overflow slot at the end).
+    one overflow slot at the end).  NaN has no bucket, so neither a
+    bound nor an observation may be NaN.
     """
 
     kind = "histogram"
 
     def __init__(self, name: str, bounds: Sequence[float] = DEFAULT_LATENCY_BOUNDS) -> None:
-        if not bounds or any(b <= a for a, b in zip(bounds, bounds[1:])):
+        # ``not b > a`` also holds when either bound is NaN; a lone
+        # bound has no pair, so it is checked on its own.
+        if (
+            not bounds
+            or math.isnan(bounds[0])
+            or any(not b > a for a, b in zip(bounds, bounds[1:]))
+        ):
             raise ConfigError(f"histogram {name} needs strictly increasing bounds")
         self.name = name
         self.bounds: Tuple[float, ...] = tuple(float(bound) for bound in bounds)
@@ -100,20 +117,16 @@ class Histogram:
         self.max = -math.inf
 
     def observe(self, value: float) -> None:
+        if value != value:
+            raise ConfigError(f"histogram {self.name} cannot observe NaN")
         self.count += 1
         self.total += value
         if value < self.min:
             self.min = value
         if value > self.max:
             self.max = value
-        lo, hi = 0, len(self.bounds)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if value <= self.bounds[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
-        self.buckets[lo] += 1
+        # The first bound >= value; past the last bound, the overflow slot.
+        self.buckets[bisect_left(self.bounds, value)] += 1
 
     @property
     def mean(self) -> float:
@@ -156,6 +169,10 @@ class TimeWeighted:
     :meth:`mean` over any window is exact regardless of how bursty the
     updates were — the right semantics for credit occupancy and queue
     depth, which change thousands of times per iteration.
+
+    Updates are on the hot path, so ``set`` takes ``now`` from its
+    caller (the kernel clock it already holds); reads run once per
+    iteration or report and use the registry clock.
     """
 
     kind = "time_weighted"
@@ -169,16 +186,15 @@ class TimeWeighted:
         self._start = self._since
         self.peak = 0.0
 
-    def set(self, value: float) -> None:
-        now = self._clock()
+    def set(self, value: float, now: float) -> None:
+        """Change the value at simulated time ``now``."""
+        if value != value:
+            raise ConfigError(f"time-weighted {self.name} cannot be set to NaN")
         self._integral += self.value * (now - self._since)
         self._since = now
         self.value = float(value)
         if value > self.peak:
             self.peak = float(value)
-
-    def add(self, delta: float) -> None:
-        self.set(self.value + delta)
 
     @property
     def integral(self) -> float:
