@@ -24,6 +24,7 @@ import sys
 from typing import List, Optional
 
 from repro._version import __version__
+from repro.core.kinds import SCHEDULER_KINDS
 from repro.errors import ConfigError, FaultPlanError, SchedulerError
 from repro.units import MB
 
@@ -41,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = commands.add_parser("run", help="simulate one training configuration")
     _add_cluster_args(run)
     run.add_argument("--scheduler", default="bytescheduler",
-                     choices=["fifo", "p3", "bytescheduler", "fusion", "dear"])
+                     choices=list(SCHEDULER_KINDS))
     run.add_argument("--partition-mb", type=float, default=None)
     run.add_argument("--credit-mb", type=float, default=None)
     run.add_argument("--dear-fusion-mb", type=float, default=None,
@@ -219,7 +220,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from repro.training.runner import resolve_model
 
     cluster = _cluster_from(args)
-    if args.scheduler == "bytescheduler" and args.partition_mb is None:
+    if SCHEDULER_KINDS[args.scheduler].tunable and args.partition_mb is None:
         partition, credit = tuned_knobs(
             args.model, cluster.arch, cluster.transport, machines=cluster.machines
         )

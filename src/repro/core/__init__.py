@@ -6,21 +6,15 @@
   abstraction (§3.2).
 * :class:`ByteSchedulerAdapter` / :class:`VanillaAdapter` — framework
   plugins: Dependency Proxies and barrier crossing (§3.3–3.4).
-* :func:`fifo_scheduler` / :func:`p3_scheduler` / :func:`bytescheduler`
-  — the evaluated scheduler configurations.
+* :data:`SCHEDULER_KINDS` — the evaluated scheduler kinds (fifo, p3,
+  bytescheduler, fusion, dear), one :class:`SchedulerKind` row each:
+  every comparison point is a configuration of the one Core.
 """
 
-from repro.core.baselines import (
-    DEFAULT_BASELINE_PARTITION,
-    P3_PARTITION,
-    bytescheduler,
-    dear_scheduler,
-    fifo_scheduler,
-    p3_scheduler,
-)
 from repro.core.commtask import CommTask, SubCommTask, TaskState
 from repro.core.dear import DeARCore
 from repro.core.fusion import FusionCore
+from repro.core.kinds import SCHEDULER_KINDS, SchedulerKind
 from repro.core.plugin import (
     Adapter,
     ByteSchedulerAdapter,
@@ -48,10 +42,6 @@ __all__ = [
     "ByteSchedulerAdapter",
     "ReadyCountdown",
     "make_adapter",
-    "fifo_scheduler",
-    "p3_scheduler",
-    "bytescheduler",
-    "dear_scheduler",
-    "DEFAULT_BASELINE_PARTITION",
-    "P3_PARTITION",
+    "SchedulerKind",
+    "SCHEDULER_KINDS",
 ]

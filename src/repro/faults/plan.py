@@ -49,9 +49,13 @@ blackout/busy-time accounting and the chaos oracle keep closing
 unchanged.  All randomness comes from ``seed:`` (plus a per-clause salt),
 so two runs of the same plan drift identically.
 
-Malformed clauses raise :class:`~repro.errors.FaultPlanError` naming
-the clause and its position, and :meth:`FaultPlan.to_spec` emits the
-canonical grammar string so ``parse(plan.to_spec()) == plan`` for any
+Each clause family (its keywords, the :class:`FaultPlan` field it lands
+in, and how it reads, writes and describes one clause) is one row of
+``_FAMILIES``; ``parse``, ``to_spec``, ``describe`` and ``empty`` loop
+over that table.  Malformed clauses raise
+:class:`~repro.errors.FaultPlanError` naming the clause and its
+position, and :meth:`FaultPlan.to_spec` writes every number in its
+shortest exact text, so ``parse(plan.to_spec()) == plan`` for any
 grammar-expressible plan.
 """
 
@@ -61,7 +65,7 @@ import math
 import random
 import zlib
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError, FaultPlanError
 
@@ -143,9 +147,9 @@ class StragglerFault:
     slowdown: float  # compute durations are multiplied by this
 
     def __post_init__(self) -> None:
-        if self.slowdown < 1.0:
+        if not 1.0 <= self.slowdown < math.inf:  # also rejects NaN
             raise ConfigError(
-                f"straggler slowdown must be >= 1, got {self.slowdown!r}"
+                f"straggler slowdown must be finite and >= 1, got {self.slowdown!r}"
             )
         if not 0.0 <= self.start < self.end:
             raise ConfigError(
@@ -380,24 +384,6 @@ class DriftFault:
             return max(1, math.ceil(round(span / self.period * DRIFT_RESOLUTION, 9)))
         return max(1, math.ceil(round(span / self.period, 9)))
 
-    def clause(self) -> str:
-        """The canonical grammar clause for this fault."""
-        if self.kind == "walk" and not self.direction:
-            target = self.node
-        else:
-            target = f"{self.node}.{self.direction}"
-        span = _span(self.start, self.end)
-        if self.kind == "diurnal":
-            return f"drift:diurnal:{target}@{span}~{self.period:g}x{self.level:g}"
-        if self.kind == "ramp":
-            return f"drift:ramp:{target}@{span}x{self.level:g}-{self.level2:g}"
-        if self.kind == "walk":
-            return (
-                f"drift:walk:{target}@{span}~{self.period:g}"
-                f"x{self.level:g}-{self.level2:g}"
-            )
-        return f"drift:background:{target}@{span}~{self.period:g}x{self.level:g}"
-
 
 @dataclass(frozen=True)
 class TransportFault:
@@ -456,6 +442,14 @@ class FaultPlan:
                     "crash per node per plan"
                 )
             seen.add(crash.node)
+        # Static windows on one link must not overlap (``both`` counts
+        # against up, down and loop); drift windows compose instead.
+        for node in sorted({fault.node for fault in self.link_faults}):
+            for direction in ("up", "down", "loop"):
+                try:
+                    self.link_windows(node, direction)
+                except ConfigError as exc:
+                    raise ConfigError(f"link {node}.{direction}: {exc}") from None
         # Canonical application order (time, then node) — keeps
         # ``parse(plan.to_spec()) == plan`` regardless of construction
         # order and makes the membership choreography deterministic.
@@ -497,14 +491,8 @@ class FaultPlan:
     @property
     def empty(self) -> bool:
         """True when the plan imposes no faults at all."""
-        return (
-            not self.link_faults
-            and not self.stragglers
-            and not self.crashes
-            and not self.integrity
-            and not self.scale_events
-            and not self.drift
-            and not self.transport.active
+        return not any(
+            family.show(getattr(self, family.field)) for family in _FAMILIES
         )
 
     def scale_events_for(self, node: str) -> Tuple[ScaleEvent, ...]:
@@ -617,50 +605,11 @@ class FaultPlan:
 
     def describe(self) -> str:
         """Human-readable one-line summary (CLI output)."""
-        parts: List[str] = []
-        for fault in self.stragglers:
-            parts.append(
-                f"straggler {fault.worker} x{fault.slowdown:g} "
-                f"[{fault.start:g}, {fault.end:g})"
-            )
-        for fault in self.link_faults:
-            kind = "blackout" if fault.rate_factor == 0 else f"x{fault.rate_factor:g}"
-            parts.append(
-                f"link {fault.node}.{fault.direction} {kind} "
-                f"[{fault.start:g}, {fault.end:g})"
-            )
-        for crash in self.crashes:
-            if crash.restarts:
-                parts.append(
-                    f"crash {crash.node} @{crash.time:g} "
-                    f"(restart +{crash.restart_delay:g})"
-                )
-            else:
-                parts.append(f"crash {crash.node} @{crash.time:g} (permanent)")
-        for fault in self.integrity:
-            parts.append(
-                f"{fault.kind} {fault.node}.{fault.direction} "
-                f"p={fault.rate:g} [{fault.start:g}, {fault.end:g})"
-            )
-        for event in self.scale_timeline:
-            parts.append(f"{event.kind} {event.node} @{event.time:g}")
-        for fault in self.drift:
-            target = (
-                fault.node
-                if not fault.direction
-                else f"{fault.node}.{fault.direction}"
-            )
-            parts.append(
-                f"drift {fault.kind} {target} "
-                f"[{fault.start:g}, {fault.end:g})"
-            )
-        if self.transport.loss_probability:
-            parts.append(f"loss p={self.transport.loss_probability:g}")
-        if self.transport.delay_probability:
-            parts.append(
-                f"delay p={self.transport.delay_probability:g} "
-                f"+{self.transport.delay:g}s"
-            )
+        parts = [
+            part
+            for family in _FAMILIES
+            for part in family.show(getattr(self, family.field))
+        ]
         if not parts:
             return "healthy (no faults)"
         return "; ".join(parts) + f" (seed {self.seed})"
@@ -671,53 +620,16 @@ class FaultPlan:
         """The canonical ``--fault-plan`` grammar string for this plan.
 
         Inverse of :meth:`parse` for every grammar-expressible plan:
-        ``FaultPlan.parse(plan.to_spec()) == plan``.  (Fields the
-        grammar cannot express — a non-default ``max_losses``, a custom
-        retransmit penalty with zero loss — are not emitted.)
+        ``FaultPlan.parse(plan.to_spec()) == plan``, every number in its
+        shortest exact text.  (Fields the grammar cannot express — a
+        non-default ``max_losses``, a custom retransmit penalty with
+        zero loss — are not emitted.)
         """
-        clauses: List[str] = []
-        for fault in self.stragglers:
-            clauses.append(
-                f"straggler:{fault.worker}@{_span(fault.start, fault.end)}"
-                f"x{fault.slowdown:g}"
-            )
-        for fault in self.link_faults:
-            target = f"{fault.node}.{fault.direction}"
-            if fault.rate_factor == 0.0:
-                clauses.append(
-                    f"blackout:{target}@{_span(fault.start, fault.end)}"
-                )
-            else:
-                clauses.append(
-                    f"slowlink:{target}@{_span(fault.start, fault.end)}"
-                    f"x{fault.rate_factor:g}"
-                )
-        for crash in self.crashes:
-            clause = f"crash:{crash.node}@{crash.time:g}"
-            if crash.restarts:
-                clause += f"+{crash.restart_delay:g}"
-            clauses.append(clause)
-        for fault in self.integrity:
-            clauses.append(
-                f"{fault.kind}:{fault.node}.{fault.direction}"
-                f"@{_span(fault.start, fault.end)}%{fault.rate:g}"
-            )
-        for event in self.scale_timeline:
-            clauses.append(f"{event.kind}:{event.node}@{event.time:g}")
-        for fault in self.drift:
-            clauses.append(fault.clause())
-        if self.transport.loss_probability:
-            clauses.append(
-                f"loss:{self.transport.loss_probability:g}"
-                f"@{self.transport.retransmit_penalty:g}"
-            )
-        if self.transport.delay_probability:
-            clauses.append(
-                f"delay:{self.transport.delay_probability:g}"
-                f"@{self.transport.delay:g}"
-            )
-        clauses.append(f"seed:{self.seed:d}")
-        return ";".join(clauses)
+        return ";".join(
+            clause
+            for family in _FAMILIES
+            for clause in family.write(getattr(self, family.field), _text)
+        )
 
     @classmethod
     def parse(cls, spec: str) -> "FaultPlan":
@@ -726,14 +638,8 @@ class FaultPlan:
         Malformed clauses raise :class:`~repro.errors.FaultPlanError`
         naming the offending clause and its 1-based position.
         """
-        link_faults: List[LinkFault] = []
-        stragglers: List[StragglerFault] = []
-        crashes: List[CrashFault] = []
-        integrity: List[IntegrityFault] = []
-        scale_events: List[ScaleEvent] = []
-        drift: List[DriftFault] = []
-        transport = TransportFault()
-        seed = 0
+        healthy = cls()
+        values = {family.field: getattr(healthy, family.field) for family in _FAMILIES}
         position = 0
         for raw in spec.split(";"):
             clause = raw.strip()
@@ -741,96 +647,18 @@ class FaultPlan:
                 continue
             position += 1
             try:
-                if ":" not in clause:
+                kind, sep, body = clause.partition(":")
+                if not sep:
                     raise ConfigError(
                         "expected <kind>:<body> (e.g. crash:s0@0.2)"
                     )
-                kind, _, body = clause.partition(":")
                 kind = kind.strip().lower()
-                body = body.strip()
-                if kind == "seed":
-                    seed = int(body)
-                elif kind == "straggler":
-                    target, window = _split_at(body)
-                    (start, end), slowdown = _parse_window(window, factor=True)
-                    stragglers.append(
-                        StragglerFault(target, start, end, slowdown)
-                    )
-                elif kind in ("slowlink", "blackout"):
-                    target, window = _split_at(body)
-                    node, direction = _split_link(target)
-                    if kind == "blackout":
-                        start, end = _parse_window(window, factor=False)
-                        link_faults.append(
-                            LinkFault(node, direction, start, end, 0.0)
-                        )
-                    else:
-                        (start, end), factor = _parse_window(window, factor=True)
-                        link_faults.append(
-                            LinkFault(node, direction, start, end, factor)
-                        )
-                elif kind == "crash":
-                    target, window = _split_at(body)
-                    time_text, sep, delay_text = window.partition("+")
-                    if not time_text:
-                        raise ConfigError(
-                            "expected crash:<node>@<t>[+<restart_delay>]"
-                        )
-                    restart_delay = float(delay_text) if sep else None
-                    crashes.append(
-                        CrashFault(target, float(time_text), restart_delay)
-                    )
-                elif kind in _SCALE_KINDS:
-                    target, window = _split_at(body)
-                    if not window:
-                        raise ConfigError(
-                            f"expected {kind}:<node>@<t>"
-                        )
-                    scale_events.append(
-                        ScaleEvent(kind, target, float(window))
-                    )
-                elif kind in _INTEGRITY_KINDS:
-                    target, window = _split_at(body)
-                    node, direction = _split_link(target)
-                    span, sep, rate_text = window.partition("%")
-                    if not sep:
-                        raise ConfigError(
-                            f"expected {kind}:<node>.<dir>@<start>-<end>%<rate>"
-                        )
-                    start, end = _parse_window(span, factor=False)
-                    integrity.append(
-                        IntegrityFault(
-                            kind, node, direction, start, end, float(rate_text)
-                        )
-                    )
-                elif kind == "drift":
-                    drift.append(_parse_drift(body))
-                elif kind == "loss":
-                    prob, _, penalty = body.partition("@")
-                    transport = replace(
-                        transport,
-                        loss_probability=float(prob),
-                        retransmit_penalty=(
-                            float(penalty)
-                            if penalty
-                            else transport.retransmit_penalty
-                        ),
-                    )
-                elif kind == "delay":
-                    prob, _, seconds = body.partition("@")
-                    if not seconds:
-                        raise ConfigError(
-                            "delay needs a duration, e.g. delay:0.1@0.002"
-                        )
-                    transport = replace(
-                        transport,
-                        delay_probability=float(prob),
-                        delay=float(seconds),
-                    )
-                else:
+                family = _FAMILY_OF.get(kind)
+                if family is None:
                     raise ConfigError(f"unknown fault kind {kind!r}")
-            except FaultPlanError:
-                raise
+                values[family.field] = family.read(
+                    kind, body.strip(), values[family.field]
+                )
             except (ConfigError, ValueError) as exc:
                 raise FaultPlanError(
                     f"fault plan clause {position} ({clause!r}): {exc}",
@@ -838,29 +666,121 @@ class FaultPlan:
                     position=position,
                 ) from exc
         try:
-            return cls(
-                link_faults=tuple(link_faults),
-                stragglers=tuple(stragglers),
-                transport=transport,
-                crashes=tuple(crashes),
-                integrity=tuple(integrity),
-                scale_events=tuple(scale_events),
-                drift=tuple(drift),
-                seed=seed,
-            )
-        except FaultPlanError:
-            raise
+            return cls(**values)
         except ConfigError as exc:
             raise FaultPlanError(f"fault plan {spec!r}: {exc}") from exc
 
 
-def _span(start: float, end: float) -> str:
-    """Canonical ``<start>-<end>`` text (``inf`` spelled out)."""
-    end_text = "inf" if math.isinf(end) else f"{end:g}"
-    return f"{start:g}-{end_text}"
+# -- clause families -------------------------------------------------------
+#
+# Every number is written by ``_text`` (``%g`` for ``describe`` and the
+# drift RNG key) and read by ``_num``; ``_cut`` splits a clause body at a
+# separator without taking an exponent's sign for ``-`` or ``+``.
 
 
-def _parse_drift(body: str) -> DriftFault:
+def _text(value: float) -> str:
+    """The shortest text that reads back as exactly ``value``: ``repr``
+    without a trailing ``.0`` (``3``, ``0.1234567``, ``1e-05``, ``inf``).
+    Adding 0.0 folds ``-0.0``, which would read as a separator, into 0."""
+    text = repr(float(value) + 0.0)
+    return text[:-2] if text.endswith(".0") else text
+
+
+#: Reads one number of the grammar (``inf`` and exponents included).
+_num = float
+
+
+def _cut(text: str, sep: str, expected: Optional[str] = None):
+    """``(head, tail)`` of ``text`` split at its first ``sep`` (a ``-``
+    or ``+`` right after ``<digit>e`` signs an exponent).  A missing
+    ``sep`` gives ``(text, None)``, or raises with ``expected``."""
+    index = text.find(sep)
+    while sep in "+-" and index > 1 and text[index - 1] in "eE" and (
+        text[index - 2] in "0123456789."
+    ):
+        index = text.find(sep, index + 1)
+    if index >= 0:
+        return text[:index], text[index + 1:]
+    if expected:
+        raise ConfigError(f"expected {expected}")
+    return text, None
+
+
+def _window(text: str) -> Tuple[float, float]:
+    """``<start>-<end>`` → (start, end); a blank end is ``inf``."""
+    start, end = _cut(text, "-", "<start>-<end>")
+    return _num(start), (_num(end) if end.strip() else math.inf)
+
+
+def _span(fault, num) -> str:
+    return f"{num(fault.start)}-{num(fault.end)}"
+
+
+def _when(fault) -> str:
+    return f"[{fault.start:g}, {fault.end:g})"
+
+
+def _split_at(body: str) -> Tuple[str, str]:
+    target, sep, window = body.partition("@")
+    if not sep or not target:
+        raise ConfigError("expected <target>@<start>-<end>...")
+    return target, window
+
+
+def _split_link(target: str) -> Tuple[str, str]:
+    node, _, direction = target.rpartition(".")
+    if not node:
+        raise ConfigError("link target must be <node>.<up|down|loop>")
+    return node, direction
+
+
+def _target(fault) -> str:
+    return f"{fault.node}.{fault.direction}" if fault.direction else fault.node
+
+
+def _read_straggler(kind: str, body: str) -> StragglerFault:
+    worker, window = _split_at(body)
+    span, slowdown = _cut(window, "x", "...x<factor>")
+    return StragglerFault(worker, *_window(span), _num(slowdown))
+
+
+def _read_link(kind: str, body: str) -> LinkFault:
+    target, window = _split_at(body)
+    node, direction = _split_link(target)
+    if kind == "blackout":
+        return LinkFault(node, direction, *_window(window), 0.0)
+    span, factor = _cut(window, "x", "...x<factor>")
+    return LinkFault(node, direction, *_window(span), _num(factor))
+
+
+def _write_link(fault: LinkFault, num) -> str:
+    if fault.rate_factor == 0.0:
+        return f"blackout:{_target(fault)}@{_span(fault, num)}"
+    return f"slowlink:{_target(fault)}@{_span(fault, num)}x{num(fault.rate_factor)}"
+
+
+def _read_crash(kind: str, body: str) -> CrashFault:
+    node, window = _split_at(body)
+    time, delay = _cut(window, "+")
+    if not time:
+        raise ConfigError("expected crash:<node>@<t>[+<restart_delay>]")
+    return CrashFault(node, _num(time), None if delay is None else _num(delay))
+
+
+def _read_integrity(kind: str, body: str) -> IntegrityFault:
+    target, window = _split_at(body)
+    span, rate = _cut(window, "%", f"{kind}:<node>.<dir>@<start>-<end>%<rate>")
+    return IntegrityFault(kind, *_split_link(target), *_window(span), _num(rate))
+
+
+def _read_scale(kind: str, body: str) -> ScaleEvent:
+    node, time = _split_at(body)
+    if not time:
+        raise ConfigError(f"expected {kind}:<node>@<t>")
+    return ScaleEvent(kind, node, _num(time))
+
+
+def _read_drift(kind: str, body: str) -> DriftFault:
     """``<kind>:<target>@<start>-<end>[~<period>]x<level>[-<level2>]``."""
     dkind, sep, rest = body.partition(":")
     dkind = dkind.strip().lower()
@@ -878,57 +798,132 @@ def _parse_drift(body: str) -> DriftFault:
             node, direction = target, ""
     else:
         node, direction = _split_link(target)
-    span_part, sep_x, level_text = window.partition("x")
-    if not sep_x or not level_text:
+    span_part, levels = _cut(window, "x")
+    if not levels:
         raise ConfigError("expected ...x<level>")
-    span, sep_tilde, period_text = span_part.partition("~")
-    start, end = _parse_window(span, factor=False)
-    period = float(period_text) if sep_tilde else 0.0
-    a_text, sep_level, b_text = level_text.partition("-")
-    level = float(a_text)
-    if dkind == "ramp":
-        if not sep_level:
-            raise ConfigError("ramp drift needs x<from>-<to>")
-        level2 = float(b_text)
-    elif dkind == "walk":
-        level2 = float(b_text) if sep_level else DEFAULT_WALK_CAP
-    else:
-        if sep_level:
-            raise ConfigError(f"{dkind} drift takes a single x<level>")
-        level2 = 0.0
-    return DriftFault(dkind, node, direction, start, end, period, level, level2)
+    span, period = _cut(span_part, "~")
+    level, level2 = _cut(levels, "-")
+    if dkind == "ramp" and level2 is None:
+        raise ConfigError("ramp drift needs x<from>-<to>")
+    if dkind == "walk" and level2 is None:
+        level2 = DEFAULT_WALK_CAP
+    elif dkind not in ("ramp", "walk") and level2 is not None:
+        raise ConfigError(f"{dkind} drift takes a single x<level>")
+    return DriftFault(
+        dkind, node, direction, *_window(span),
+        period=0.0 if period is None else _num(period),
+        level=_num(level),
+        level2=0.0 if level2 is None else _num(level2),
+    )
 
 
-def _split_at(body: str) -> Tuple[str, str]:
-    target, sep, window = body.partition("@")
-    if not sep or not target:
-        raise ConfigError("expected <target>@<start>-<end>...")
-    return target, window
+def _write_drift(fault: DriftFault, num) -> str:
+    clause = f"drift:{fault.kind}:{_target(fault)}@{_span(fault, num)}"
+    if fault.kind != "ramp":
+        clause += f"~{num(fault.period)}"
+    clause += f"x{num(fault.level)}"
+    if fault.kind in ("ramp", "walk"):
+        clause += f"-{num(fault.level2)}"
+    return clause
 
 
-def _split_link(target: str) -> Tuple[str, str]:
-    node, _, direction = target.rpartition(".")
-    if not node:
-        raise ConfigError("link target must be <node>.<up|down|loop>")
-    return node, direction
+def _read_loss(kind: str, body: str, transport: TransportFault) -> TransportFault:
+    probability, penalty = _cut(body, "@")
+    return replace(
+        transport,
+        loss_probability=_num(probability),
+        retransmit_penalty=_num(penalty) if penalty else transport.retransmit_penalty,
+    )
 
 
-def _parse_window(window: str, factor: bool):
-    """``<start>-<end>[x<factor>]`` → ((start, end)[, factor])."""
-    if factor:
-        span, sep, value = window.partition("x")
-        if not sep:
-            raise ConfigError("expected ...x<factor>")
-    else:
-        span, value = window, None
-    start_text, sep, end_text = span.partition("-")
-    if not sep:
-        raise ConfigError("expected <start>-<end>")
-    start = float(start_text)
-    end = math.inf if end_text.strip() in ("inf", "") else float(end_text)
-    if factor:
-        return (start, end), float(value)
-    return (start, end)
+def _read_delay(kind: str, body: str, transport: TransportFault) -> TransportFault:
+    probability, seconds = _cut(body, "@")
+    if not seconds:
+        raise ConfigError("delay needs a duration, e.g. delay:0.1@0.002")
+    return replace(transport, delay_probability=_num(probability), delay=_num(seconds))
+
+
+@dataclass(frozen=True)
+class _Family:
+    """One clause family: its keywords, the :class:`FaultPlan` field its
+    clauses land in, and its grammar both ways."""
+
+    field: str
+    kinds: Tuple[str, ...]
+    #: (kind, body, field value) -> the field value with the clause added.
+    read: Callable[[str, str, object], object]
+    #: (field value, number formatter) -> canonical clauses.
+    write: Callable[[object, Callable[[float], str]], List[str]]
+    #: field value -> :meth:`FaultPlan.describe` parts.
+    show: Callable[[object], List[str]]
+
+
+def _each(field: str, kinds, read, write, show) -> _Family:
+    """A family whose field is a tuple of one fault per clause."""
+    return _Family(
+        field,
+        tuple(kinds),
+        lambda kind, body, faults: faults + (read(kind, body),),
+        lambda faults, num: [write(fault, num) for fault in faults],
+        lambda faults: [show(fault) for fault in faults],
+    )
+
+
+#: Every clause family, in ``to_spec``/``describe`` order: the only
+#: place that knows the set.  A new family is one row.
+_FAMILIES: Tuple[_Family, ...] = (
+    _each(
+        "stragglers", ("straggler",), _read_straggler,
+        lambda f, num: f"straggler:{f.worker}@{_span(f, num)}x{num(f.slowdown)}",
+        lambda f: f"straggler {f.worker} x{f.slowdown:g} {_when(f)}",
+    ),
+    _each(
+        "link_faults", ("slowlink", "blackout"), _read_link, _write_link,
+        lambda f: f"link {_target(f)} "
+        + ("blackout" if f.rate_factor == 0 else f"x{f.rate_factor:g}")
+        + f" {_when(f)}",
+    ),
+    _each(
+        "crashes", ("crash",), _read_crash,
+        lambda c, num: f"crash:{c.node}@{num(c.time)}"
+        + (f"+{num(c.restart_delay)}" if c.restarts else ""),
+        lambda c: f"crash {c.node} @{c.time:g} "
+        + (f"(restart +{c.restart_delay:g})" if c.restarts else "(permanent)"),
+    ),
+    _each(
+        "integrity", _INTEGRITY_KINDS, _read_integrity,
+        lambda f, num: f"{f.kind}:{_target(f)}@{_span(f, num)}%{num(f.rate)}",
+        lambda f: f"{f.kind} {_target(f)} p={f.rate:g} {_when(f)}",
+    ),
+    _each(
+        "scale_events", _SCALE_KINDS, _read_scale,
+        lambda e, num: f"{e.kind}:{e.node}@{num(e.time)}",
+        lambda e: f"{e.kind} {e.node} @{e.time:g}",
+    ),
+    _each(
+        "drift", ("drift",), _read_drift, _write_drift,
+        lambda f: f"drift {f.kind} {_target(f)} {_when(f)}",
+    ),
+    _Family(
+        "transport", ("loss",), _read_loss,
+        lambda t, num: [f"loss:{num(t.loss_probability)}@{num(t.retransmit_penalty)}"]
+        if t.loss_probability else [],
+        lambda t: [f"loss p={t.loss_probability:g}"] if t.loss_probability else [],
+    ),
+    _Family(
+        "transport", ("delay",), _read_delay,
+        lambda t, num: [f"delay:{num(t.delay_probability)}@{num(t.delay)}"]
+        if t.delay_probability else [],
+        lambda t: [f"delay p={t.delay_probability:g} +{t.delay:g}s"]
+        if t.delay_probability else [],
+    ),
+    _Family(
+        "seed", ("seed",), lambda kind, body, seed: int(body),
+        lambda seed, num: [f"seed:{seed:d}"], lambda seed: [],
+    ),
+)
+
+_FAMILY_OF = {kind: family for family in _FAMILIES for kind in family.kinds}
 
 
 # -- degraded-rate arithmetic ---------------------------------------------
@@ -992,12 +987,13 @@ def degraded_finish(
 def _drift_rng(fault: DriftFault, seed: int) -> random.Random:
     """Per-clause seeded RNG stream for drift sampling.
 
-    Keyed on the plan seed and a CRC of the canonical clause text (never
-    Python ``hash``, which varies with PYTHONHASHSEED), so two clauses
+    Keyed on the plan seed and a CRC of the clause text with ``%g``
+    numbers, as drift sampling has always keyed it (never Python
+    ``hash``, which varies with PYTHONHASHSEED), so two clauses
     in one plan walk independently and the same plan + seed replays the
     same drift trajectory bit for bit.
     """
-    key = zlib.crc32(fault.clause().encode("ascii"))
+    key = zlib.crc32(_write_drift(fault, "{:g}".format).encode("ascii"))
     return random.Random((seed * _DRIFT_SEED_SALT + key) % 2**61)
 
 

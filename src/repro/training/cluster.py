@@ -3,8 +3,8 @@
 A :class:`ClusterSpec` captures one column of the paper's evaluation
 matrix — framework × gradient-sync architecture × transport × scale —
 and knows how to build the simulated substrate (fabric + backend) for
-it.  A :class:`SchedulerSpec` captures one *line* in the figures:
-baseline FIFO, P3, or ByteScheduler with explicit knobs.
+it.  A :class:`SchedulerSpec` captures one *line* in the figures: a
+scheduler kind (:data:`repro.core.SCHEDULER_KINDS`) with its knobs.
 """
 
 from __future__ import annotations
@@ -20,10 +20,11 @@ from repro.comm import (
     RetryPolicy,
     make_sharding,
 )
+from repro.core.kinds import SCHEDULER_KINDS, SchedulerKind
 from repro.errors import ConfigError
 from repro.net import Fabric, Transport
 from repro.sim import Environment, Trace
-from repro.units import GB, KB, MB, MS, US, gbps
+from repro.units import GB, MB, MS, US, gbps
 
 __all__ = ["ClusterSpec", "SchedulerSpec", "BuiltCluster"]
 
@@ -304,10 +305,9 @@ class ClusterSpec:
 class SchedulerSpec:
     """One scheduling policy with its knob values.
 
-    ``kind`` is 'fifo' (vanilla framework), 'p3' (Jayarajan et al.),
-    'bytescheduler', 'fusion' (Horovod-style tensor fusion), or 'dear'
-    (decoupled all-reduce phases, collective archs only).  Partition /
-    credit default to each policy's published defaults when omitted.
+    ``kind`` names a row of :data:`repro.core.SCHEDULER_KINDS` ('fifo',
+    'p3', 'bytescheduler', 'fusion' or 'dear').  Partition / credit
+    default to the row's published defaults when omitted.
     """
 
     kind: str = "bytescheduler"
@@ -326,9 +326,9 @@ class SchedulerSpec:
     partition_overrides: Optional[Tuple[Tuple[int, float], ...]] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("fifo", "p3", "bytescheduler", "fusion", "dear"):
+        if self.kind not in SCHEDULER_KINDS:
             raise ConfigError(
-                "scheduler kind must be fifo/p3/bytescheduler/fusion/dear, "
+                f"scheduler kind must be {'/'.join(SCHEDULER_KINDS)}, "
                 f"got {self.kind!r}"
             )
         for knob in ("dear_fusion_bytes", "partition_bytes", "credit_bytes"):
@@ -336,6 +336,15 @@ class SchedulerSpec:
             # ``not x > 0`` also rejects NaN; inf stays legal.
             if value is not None and not value > 0:
                 raise ConfigError(f"{knob} must be > 0, got {value!r}")
+        # Chained comparisons against inf also reject NaN.
+        for knob in ("fusion_bytes", "cycle_time"):
+            value = getattr(self, knob)
+            if not 0 < value < math.inf:
+                raise ConfigError(f"{knob} must be finite and > 0, got {value!r}")
+        if not 0 <= self.notify_delay < math.inf:
+            raise ConfigError(
+                f"notify_delay must be finite and >= 0, got {self.notify_delay!r}"
+            )
         if self.partition_overrides is not None:
             for layer, value in self.partition_overrides:
                 if layer < 0 or not value > 0:
@@ -344,13 +353,14 @@ class SchedulerSpec:
                     )
 
     @property
+    def definition(self) -> SchedulerKind:
+        """This policy's row of the scheduler-kind table."""
+        return SCHEDULER_KINDS[self.kind]
+
+    @property
     def scheduled(self) -> bool:
-        """True for schedulers that need per-layer forward gates
-        (ByteScheduler, P3, DeAR — DeAR's deferred all-gather must block
-        the *next* iteration's per-layer forward, which is exactly the
-        crossing-the-global-barrier machinery); 'fifo' and 'fusion' are
-        vanilla-framework behaviours."""
-        return self.kind in ("p3", "bytescheduler", "dear")
+        """True for schedulers that need per-layer forward gates."""
+        return SCHEDULER_KINDS[self.kind].scheduled
 
     def resolved_partition(
         self,
@@ -358,39 +368,16 @@ class SchedulerSpec:
         largest_tensor_bytes: Optional[float] = None,
         servers: int = 0,
     ) -> Optional[float]:
-        """Partition size after applying per-policy, per-arch defaults.
-
-        The vanilla PS baseline reproduces MXNet's big-array splitting:
-        tensors are sliced at per-server-slice granularity (one key per
-        server), so a 411 MB tensor on 8 servers moves as 51 MB
-        messages — which is why the baseline's duplex pipelining is so
-        coarse.
-        """
+        """Partition size after applying per-policy, per-arch defaults."""
         if self.partition_bytes is not None:
             return self.partition_bytes
-        if self.kind == "fifo":
-            if arch == "allreduce":
-                return None  # vanilla Horovod/NCCL reduces whole tensors
-            if largest_tensor_bytes and servers:
-                return max(largest_tensor_bytes / servers, float(4 * MB))
-            return float(4 * MB)
-        if self.kind == "p3":
-            return 160 * KB  # P3's published default (§2.3)
-        return 4 * MB
+        return self.definition.partition(arch, largest_tensor_bytes, servers)
 
     def resolved_credit(self) -> float:
         """Credit size after applying per-policy defaults."""
         if self.credit_bytes is not None:
             return self.credit_bytes
-        if self.kind == "fifo":
-            return math.inf  # vanilla stacks have no in-flight limit
-        if self.kind == "p3":
-            # P3 stop-and-waits at the scheduler, but ps-lite's ZMQ
-            # sender keeps its pipe non-empty (a couple of messages
-            # buffered below the scheduler), so ~three partitions are
-            # effectively in flight.
-            return 3 * 160 * KB
-        return 4 * self.resolved_partition()
+        return self.definition.credit(self.resolved_partition())
 
     def with_knobs(self, partition_bytes: float, credit_bytes: float) -> "SchedulerSpec":
         """This policy with different (partition, credit) values."""

@@ -26,8 +26,6 @@ from repro.comm.base import CommBackend
 from repro.core import (
     ByteSchedulerCore,
     CommTask,
-    PRIORITY_FIFO,
-    PRIORITY_LAYER,
     ReadyCountdown,
     make_adapter,
 )
@@ -204,58 +202,21 @@ class TrainingJob:
     # -- assembly ---------------------------------------------------------
 
     def _make_cores(self) -> Dict[str, ByteSchedulerCore]:
-        """One Core per worker for PS; a single master Core for
-        all-reduce (§5)."""
+        """The scheduler kind's Cores: one per worker for PS, a single
+        master for all-reduce (§5)."""
         spec = self.scheduler
-        mode = PRIORITY_LAYER if spec.scheduled else PRIORITY_FIFO
-
-        if spec.kind == "fusion":
-            from repro.errors import ConfigError as _ConfigError
-
-            if not self.backend.is_collective:
-                raise _ConfigError("tensor fusion requires the all-reduce arch")
-            from repro.core.fusion import FusionCore
-
-            master = FusionCore(
-                self.env,
-                self.backend,
-                fusion_bytes=spec.fusion_bytes,
-                cycle_time=spec.cycle_time,
-            )
-            return {worker: master for worker in self.workers}
-
-        if spec.kind == "dear":
-            if not self.backend.is_collective:
-                raise ConfigError("DeAR requires the all-reduce arch")
-            from repro.core.dear import DeARCore
-
-            master = DeARCore(
-                self.env,
-                self.backend,
-                fusion_bytes=spec.dear_fusion_bytes,
-            )
-            return {worker: master for worker in self.workers}
-
-        def build(name: str) -> ByteSchedulerCore:
-            return ByteSchedulerCore(
-                self.env,
-                self.backend,
-                partition_bytes=spec.resolved_partition(
-                    self.cluster.arch,
-                    largest_tensor_bytes=self.model.largest_tensor_bytes,
-                    servers=self.cluster.servers,
-                ),
-                credit_bytes=spec.resolved_credit(),
-                priority_mode=mode,
-                notify_delay=spec.notify_delay,
-                name=name,
-                partition_overrides=dict(spec.partition_overrides or ()),
-            )
-
-        if self.backend.is_collective:
-            master = build("master")
-            return {worker: master for worker in self.workers}
-        return {worker: build(f"core@{worker}") for worker in self.workers}
+        return spec.definition.make_cores(
+            spec,
+            self.env,
+            self.backend,
+            self.workers,
+            partition=spec.resolved_partition(
+                self.cluster.arch,
+                largest_tensor_bytes=self.model.largest_tensor_bytes,
+                servers=self.cluster.servers,
+            ),
+            credit=spec.resolved_credit(),
+        )
 
     def _core_for(self, worker: str) -> ByteSchedulerCore:
         return self.cores[worker]

@@ -109,12 +109,11 @@ class LiveTuner:
             raise TuningError("segment_iterations must be >= 1")
         if not restart_penalty >= 0:  # also rejects NaN
             raise TuningError(f"restart_penalty must be >= 0, got {restart_penalty!r}")
-        if not job.scheduler.scheduled:
+        kind = job.scheduler.definition
+        if not kind.scheduled:
             raise TuningError(f"{self.name} tuning needs a priority scheduler")
-        if job.scheduler.kind == "dear":
-            raise TuningError(
-                "DeAR has no partition/credit knobs to tune — that is its selling point"
-            )
+        if not kind.tunable:
+            raise TuningError(f"{kind.name} has no partition/credit knobs to tune")
         self.job = job
         self.space = space or SearchSpace()
         self.segment_iterations = segment_iterations

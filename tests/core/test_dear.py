@@ -3,7 +3,7 @@
 import pytest
 
 from repro.comm import DecoupledAllReduceBackend, RingAllReduceBackend
-from repro.core import DeARCore, dear_scheduler
+from repro.core import SCHEDULER_KINDS, DeARCore
 from repro.errors import ConfigError, SchedulerError
 from repro.net import Transport
 from repro.sim import Environment
@@ -160,8 +160,15 @@ def test_dear_validation():
 def test_dear_scheduler_factory():
     env = Environment()
     backend = make_backend(env)
-    core = dear_scheduler(env, backend, fusion_bytes=8 * MB)
+    spec = SchedulerSpec(kind="dear", dear_fusion_bytes=8 * MB)
+    cores = SCHEDULER_KINDS["dear"].make_cores(
+        spec, env, backend, backend.workers,
+        partition=spec.resolved_partition("allreduce"),
+        credit=spec.resolved_credit(),
+    )
+    core = cores[backend.workers[0]]
     assert isinstance(core, DeARCore)
+    assert all(other is core for other in cores.values())  # one master
     assert core.fusion_bytes == 8 * MB
     assert core.partition_bytes is None  # never splits — no knob
 

@@ -160,8 +160,8 @@ def test_whole_cycle_window_is_not_given_an_extra_step():
     assert FaultPlan.parse(plan.to_spec()) == plan
 
 
-# Draw grammar-exact values: short decimals print verbatim under the
-# ``%g`` formatting ``to_spec`` uses, so equality is exact.
+# Short decimals, as people write them; the every-family property in
+# ``test_plan.py`` draws non-round values.
 tenths = st.integers(min_value=0, max_value=400).map(lambda n: n / 10)
 small = st.integers(min_value=1, max_value=10).map(lambda n: n / 10)
 
@@ -193,7 +193,7 @@ def test_any_valid_drift_plan_round_trips(
         node,
         direction,
         start_n / 10,
-        (start_n + span_n) / 10,  # integer end: exact under %g
+        (start_n + span_n) / 10,
         period=0.0 if kind == "ramp" else period_n / 10,
         level=level,
         level2={"ramp": level, "walk": level2}.get(kind, 0.0),

@@ -1,14 +1,13 @@
 """Integrity clauses in the fault-plan grammar, and the typed parse
-error + spec round-trip the grammar guarantees."""
+error the grammar guarantees (the spec round-trip of every clause
+family is one property in ``test_plan.py``)."""
 
 import math
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.errors import ConfigError, FaultPlanError
-from repro.faults import CrashFault, FaultPlan, IntegrityFault, LinkFault
+from repro.faults import FaultPlan, IntegrityFault
 
 
 def test_parse_integrity_clauses():
@@ -78,59 +77,3 @@ def test_describe_mentions_integrity_faults():
     plan = FaultPlan.parse("corrupt:s0.down@0-0.5%0.02;seed:3")
     text = plan.describe()
     assert "corrupt s0.down" in text and "p=0.02" in text and "seed 3" in text
-
-
-# -- spec round-trip property ----------------------------------------------
-
-_nodes = st.sampled_from(["w0", "w1", "s0", "s1"])
-_directions = st.sampled_from(["up", "down", "loop", "both"])
-_times = st.floats(0.0, 2.0).map(lambda value: round(value, 3))
-_rates = st.floats(0.01, 0.99).map(lambda value: round(value, 3))
-
-
-_integrity_faults = st.builds(
-    IntegrityFault,
-    kind=st.sampled_from(["corrupt", "dup", "reorder"]),
-    node=_nodes,
-    direction=_directions,
-    start=st.just(0.0),
-    end=st.one_of(
-        st.just(math.inf), _times.map(lambda t: round(t + 0.001, 3))
-    ),
-    rate=_rates,
-)
-
-_crash_faults = st.builds(
-    CrashFault,
-    node=_nodes,
-    time=_times,
-    restart_delay=st.one_of(st.none(), _rates),
-)
-
-_link_faults = st.builds(
-    LinkFault,
-    node=_nodes,
-    direction=st.sampled_from(["up", "down", "both"]),
-    start=st.just(0.0),
-    end=_times.map(lambda t: round(t + 0.001, 3)),
-    rate_factor=st.floats(0.1, 0.9).map(lambda value: round(value, 3)),
-)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    integrity=st.lists(_integrity_faults, max_size=4),
-    crashes=st.lists(_crash_faults, max_size=2, unique_by=lambda c: c.node),
-    links=st.lists(_link_faults, max_size=3),
-    seed=st.integers(0, 2**31),
-)
-def test_spec_round_trip(integrity, crashes, links, seed):
-    """``FaultPlan.parse(plan.to_spec()) == plan`` for every
-    grammar-expressible plan."""
-    plan = FaultPlan(
-        link_faults=tuple(links),
-        crashes=tuple(crashes),
-        integrity=tuple(integrity),
-        seed=seed,
-    )
-    assert FaultPlan.parse(plan.to_spec()) == plan

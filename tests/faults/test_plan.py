@@ -3,16 +3,23 @@
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, FaultPlanError
 from repro.faults import (
+    CrashFault,
+    DriftFault,
     FaultPlan,
+    IntegrityFault,
     LinkFault,
+    ScaleEvent,
     StragglerFault,
     TransportFault,
     degraded_finish,
     merge_windows,
 )
+from repro.faults.plan import _FAMILIES
 
 
 # -- grammar ---------------------------------------------------------------
@@ -212,3 +219,211 @@ def test_scale_event_rejects_bad_time_and_kind():
 def test_crash_and_scale_on_same_node_rejected():
     with pytest.raises(ConfigError):
         FaultPlan.parse("crash:w1@0.1+0.1;leave:w1@0.4")
+
+
+# -- one table of clause families -------------------------------------------
+
+#: Every clause family in one plan.  ``describe()`` recorded before the
+#: families became one table; it must not move.
+EVERY_FAMILY = (
+    "straggler:w0@0-0.5x3;slowlink:w1.up@0.1-0.3x0.25;blackout:w1.down@0.4-0.5;"
+    "crash:s0@0.4+0.2;corrupt:s0.down@0-0.5%0.02;dup:w1.up@0-0.5%0.02;"
+    "reorder:s1.down@0-0.5%0.02;join:w3@0.3;leave:w2@0.6;"
+    "drift:diurnal:w0.up@0-2~1x0.5;drift:ramp:w1.down@0-1x1-0.4;"
+    "drift:walk:w0@0-1~0.1x0.2-4;drift:background:s0.up@0-1~0.1x0.3;"
+    "loss:0.02@0.001;delay:0.1@0.002;seed:7"
+)
+EVERY_FAMILY_DESCRIBED = (
+    "straggler w0 x3 [0, 0.5); link w1.up x0.25 [0.1, 0.3); "
+    "link w1.down blackout [0.4, 0.5); crash s0 @0.4 (restart +0.2); "
+    "corrupt s0.down p=0.02 [0, 0.5); dup w1.up p=0.02 [0, 0.5); "
+    "reorder s1.down p=0.02 [0, 0.5); join w3 @0.3; leave w2 @0.6; "
+    "drift diurnal w0.up [0, 2); drift ramp w1.down [0, 1); drift walk w0 [0, 1); "
+    "drift background s0.up [0, 1); loss p=0.02; delay p=0.1 +0.002s (seed 7)"
+)
+
+
+def test_describe_of_every_family_is_pinned():
+    plan = FaultPlan.parse(EVERY_FAMILY)
+    assert plan.describe() == EVERY_FAMILY_DESCRIBED
+    assert plan.to_spec() == EVERY_FAMILY
+
+
+def _floats(low, high, **kwargs):
+    return st.floats(low, high, allow_nan=False, allow_infinity=False, **kwargs)
+
+
+# Non-round finite floats, from below 1e-4 to at or above 1e6.
+_times = st.one_of(_floats(0.0, 10.0), _floats(1e-9, 1e-4), _floats(1e6, 1e12))
+_lengths = st.one_of(_floats(1e-3, 10.0), _floats(1e-9, 1e-4), _floats(1e6, 1e9))
+_fractions = st.one_of(_floats(1e-4, 1.0), _floats(1e-9, 1e-4))  # (0, 1]
+_open_fractions = _floats(1e-9, 1.0, exclude_max=True)  # (0, 1)
+_multipliers = st.one_of(_floats(1.0, 10.0), _floats(1e6, 1e12))  # [1, inf)
+_directions = st.sampled_from(["up", "down", "loop", "both"])
+
+
+@st.composite
+def _window(draw, open_end=True):
+    start = draw(_times)
+    end = math.inf if open_end and draw(st.booleans()) else start + draw(_lengths)
+    assume(start < end)
+    return start, end
+
+
+@st.composite
+def _straggler(draw):
+    return StragglerFault(
+        draw(st.sampled_from(["w0", "w1"])), *draw(_window()), draw(_multipliers)
+    )
+
+
+@st.composite
+def _link(draw):
+    factor = draw(st.one_of(st.just(0.0), _fractions))  # 0 is a blackout
+    return LinkFault(
+        draw(st.sampled_from(["w0", "w1", "s0", "s1"])),
+        draw(_directions),
+        *draw(_window(open_end=factor > 0)),
+        factor,
+    )
+
+
+_crash = st.builds(
+    CrashFault,
+    node=st.sampled_from(["s0", "s1", "m0"]),
+    time=_times,
+    restart_delay=st.one_of(st.none(), _lengths),
+)
+
+
+@st.composite
+def _integrity(draw):
+    return IntegrityFault(
+        draw(st.sampled_from(["corrupt", "dup", "reorder"])),
+        draw(st.sampled_from(["w0", "w1", "s0", "s1"])),
+        draw(_directions),
+        *draw(_window()),
+        draw(_open_fractions),
+    )
+
+
+_scale = st.builds(
+    ScaleEvent,
+    kind=st.sampled_from(["join", "leave"]),
+    node=st.sampled_from(["w2", "w3", "w4"]),
+    time=_times,
+)
+
+
+@st.composite
+def _drift(draw):
+    kind = draw(st.sampled_from(["diurnal", "ramp", "walk", "background"]))
+    direction = draw(st.sampled_from(["up", "down", "loop", "both", ""]))
+    if kind != "walk" and not direction:
+        direction = "both"
+    start = draw(_times)
+    period = 0.0 if kind == "ramp" else draw(_lengths)
+    cycles = draw(st.integers(1, 8))
+    end = start + (draw(_lengths) if kind == "ramp" else period * cycles)
+    assume(start < end < math.inf)
+    level, level2 = {
+        "diurnal": (draw(_fractions), 0.0),
+        "ramp": (draw(_fractions), draw(_fractions)),
+        "walk": (draw(_floats(1e-9, 10.0)), draw(_multipliers)),
+        "background": (draw(st.one_of(_floats(1e-9, 10.0), _floats(1e6, 1e9))), 0.0),
+    }[kind]
+    try:
+        return DriftFault(
+            kind, draw(st.sampled_from(["w0", "s0"])), direction, start, end,
+            period=period, level=level, level2=level2,
+        )
+    except ConfigError:  # e.g. more sampled steps than the cap
+        assume(False)
+
+
+@st.composite
+def _transport(draw):
+    loss = draw(st.one_of(st.just(0.0), _open_fractions))
+    delay = draw(st.one_of(st.just(0.0), _open_fractions))
+    return TransportFault(
+        loss_probability=loss,
+        retransmit_penalty=draw(_times) if loss else 500e-6,
+        delay_probability=delay,
+        delay=draw(_times) if delay else 0.0,
+    )
+
+
+#: One strategy per FaultPlan field a clause family lands in.
+FAMILY_DRAWS = {
+    "stragglers": st.lists(_straggler(), max_size=2).map(tuple),
+    # One static link fault per node: windows on one link must not overlap.
+    "link_faults": st.lists(_link(), max_size=3, unique_by=lambda f: f.node).map(tuple),
+    "crashes": st.lists(_crash, max_size=2, unique_by=lambda c: c.node).map(tuple),
+    "integrity": st.lists(_integrity(), max_size=3).map(tuple),
+    "scale_events": st.lists(_scale, max_size=2, unique_by=lambda e: e.node).map(tuple),
+    "drift": st.lists(_drift(), max_size=2).map(tuple),
+    "transport": _transport(),
+    "seed": st.integers(0, 2**31),
+}
+
+
+def test_round_trip_property_draws_every_family():
+    assert set(FAMILY_DRAWS) == {family.field for family in _FAMILIES}
+
+
+@settings(max_examples=200, deadline=None)
+@given(fields=st.fixed_dictionaries(FAMILY_DRAWS))
+def test_every_family_round_trips_with_non_round_floats(fields):
+    """``parse(plan.to_spec()) == plan`` for any grammar-expressible
+    plan, with every number written in its shortest exact text."""
+    plan = FaultPlan(**fields)
+    spec = plan.to_spec()
+    assert FaultPlan.parse(spec) == plan
+    assert FaultPlan.parse(spec).to_spec() == spec
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "straggler:w0@0.1234567-1x2",  # used to round to 6 digits
+        "slowlink:w0.up@0-1x0.1234567",
+        "loss:0.0123456789",
+        "crash:w0@1000000",  # used to emit 1e+06, read as '1e'
+        "crash:w0@1e+16+1e-07",
+        "straggler:w0@0.00001-1x2",  # used to emit 1e-05-1, read as '1e'
+        "drift:ramp:w0.up@0.00001-1x1-0.5",
+    ],
+)
+def test_to_spec_output_parses_back_exactly(spec):
+    plan = FaultPlan.parse(spec)
+    assert FaultPlan.parse(plan.to_spec()) == plan
+
+
+@pytest.mark.parametrize("slowdown", ["inf", "nan"])
+def test_non_finite_straggler_slowdown_rejected(slowdown):
+    with pytest.raises(FaultPlanError) as excinfo:
+        FaultPlan.parse(f"seed:1;straggler:w0@0-1x{slowdown}")
+    assert excinfo.value.position == 2
+    with pytest.raises(ConfigError, match="finite"):
+        StragglerFault("w0", 0.0, 1.0, float(slowdown))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "slowlink:w0.up@0-1x0.5;slowlink:w0.up@0.5-2x0.5",
+        "slowlink:w0.both@0-1x0.5;blackout:w0.down@0.5-2",
+        "blackout:w0.loop@0-1;slowlink:w0.both@0.9-2x0.5",
+    ],
+)
+def test_overlapping_static_link_windows_rejected_at_parse(spec):
+    with pytest.raises(FaultPlanError, match="overlapping fault windows"):
+        FaultPlan.parse(spec)
+
+
+def test_adjacent_link_windows_and_overlapping_drift_allowed():
+    plan = FaultPlan.parse(
+        "slowlink:w0.up@0-1x0.5;slowlink:w0.both@1-2x0.5;blackout:w0.down@0-1;"
+        "drift:ramp:w0.up@0-2x1-0.5;drift:diurnal:w0.both@0-2~1x0.5"
+    )
+    assert len(plan.link_faults) == 3 and len(plan.drift) == 2

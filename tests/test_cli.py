@@ -131,6 +131,25 @@ def test_run_rejects_malformed_fault_plan(capsys):
 
 
 @pytest.mark.parametrize(
+    "plan, message",
+    [
+        ("straggler:w0@0-1xinf", "clause 1"),
+        ("seed:3;straggler:w0@0-1xnan", "clause 2"),
+        ("slowlink:w0.up@0-1x0.5;slowlink:w0.up@0.5-2x0.5", "overlapping fault windows"),
+    ],
+)
+def test_run_rejects_invalid_fault_plans_before_running(capsys, plan, message):
+    code = main([
+        "run", "--model", "resnet50", "--machines", "2",
+        "--gpus-per-machine", "1", "--measure", "2", "--fault-plan", plan,
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "invalid --fault-plan" in captured.err and message in captured.err
+    assert "images/s" not in captured.out
+
+
+@pytest.mark.parametrize(
     "knob, value",
     [("--partition-mb", "nan"), ("--partition-mb", "-1"), ("--credit-mb", "nan")],
 )

@@ -148,6 +148,26 @@ def test_scheduler_spec_validation():
     SchedulerSpec(partition_bytes=math.inf, credit_bytes=math.inf)
 
 
+@pytest.mark.parametrize(
+    "knobs, name",
+    [
+        ({"kind": "fusion", "fusion_bytes": float("nan")}, "fusion_bytes"),
+        ({"kind": "fusion", "fusion_bytes": math.inf}, "fusion_bytes"),
+        ({"kind": "fusion", "cycle_time": math.inf}, "cycle_time"),
+        ({"kind": "fusion", "cycle_time": float("nan")}, "cycle_time"),
+        ({"kind": "fusion", "cycle_time": 0.0}, "cycle_time"),
+        ({"notify_delay": math.inf}, "notify_delay"),
+        ({"notify_delay": float("nan")}, "notify_delay"),
+        ({"notify_delay": -1e-3}, "notify_delay"),
+    ],
+)
+def test_scheduler_spec_rejects_non_finite_knobs(knobs, name):
+    """Used to run silently (fusion_bytes nan), fail in the kernel
+    (cycle_time inf/nan) or report a nan speed (notify_delay inf)."""
+    with pytest.raises(ConfigError, match=name):
+        SchedulerSpec(**knobs)
+
+
 def test_with_knobs():
     spec = SchedulerSpec(kind="bytescheduler").with_knobs(1 * MB, 4 * MB)
     assert spec.partition_bytes == 1 * MB
