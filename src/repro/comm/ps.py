@@ -576,6 +576,26 @@ class PSBackend(CommBackend):
             (durable if state.pulled else lost).append(key)
         return lost, durable
 
+    def describe_pending(self) -> str:
+        """The chunks still aggregating, for a deadlock error: how many,
+        then the first three keys, each with its server and the member
+        workers that have not pushed it or not pulled it yet ("" when
+        none is pending)."""
+        if not self._pending:
+            return ""
+        keys = sorted(self._pending)
+        named = []
+        for key in keys[:3]:
+            state = self._pending[key]
+            members = [w for w in self._workers if w in state.members]
+            push = [w for w in members if w not in state.arrived]
+            pull = [w for w in members if w not in state.pulled]
+            named.append(
+                f"{key} on {self.server_for(state.spec)} "
+                f"(push: {', '.join(push) or '-'}; pull: {', '.join(pull) or '-'})"
+            )
+        return f"{len(keys)} PS chunks pending, first {len(named)}: " + ", ".join(named)
+
     def orphaned(self, key: Tuple[int, int, int]) -> bool:
         """True when nothing server-side knows about ``key``.
 

@@ -30,7 +30,7 @@ baseline and scheduled runs — only the glue differs, as in the paper.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.errors import SchedulerError
 from repro.frameworks.engine import Engine, EngineOp, OpKind
@@ -100,10 +100,25 @@ class Adapter:
         #: ``worker`` is None (collective mode), set by TrainingJob.
         self.party: Optional[str] = worker
         self.barrier_engine = engine.has_barrier
-        self._gates: Dict[Tuple[int, int], EngineOp] = {}
-        self._barriers: Dict[int, EngineOp] = {}
-        self._tasks: Dict[Tuple[int, int], CommTask] = {}
-        self._iteration_comm_ops: Dict[int, List[EngineOp]] = {}
+        #: The tables below hold what this adapter posted for iteration
+        #: ``_iteration`` only — the last one it built, and the only one
+        #: the next iteration's forward gates read.  Entering a newer
+        #: iteration drops them whole, so a worker that skipped
+        #: iterations (elastic leave and rejoin) keeps no stale entry.
+        self._iteration: Optional[int] = None
+        self._gates: Dict[int, EngineOp] = {}
+        self._tasks: Dict[int, CommTask] = {}
+        self._barrier: Optional[EngineOp] = None
+        #: The iteration's comm ops, until its barrier consumes them.
+        self._comm_ops: List[EngineOp] = []
+
+    def _enter(self, iteration: int) -> None:
+        """Make the tables hold ``iteration``: drop every older entry."""
+        self._iteration = iteration
+        self._gates = {}
+        self._tasks = {}
+        self._barrier = None
+        self._comm_ops = []
 
     def _label(self, iteration: int, layer: int, what: str) -> str:
         suffix = f"@{self.worker}" if self.worker else ""
@@ -129,14 +144,17 @@ class Adapter:
         """Post the global barrier, if this engine has one."""
         if not self.barrier_engine:
             return None
+        if iteration != self._iteration:
+            self._enter(iteration)
         barrier = self.engine.post(
             EngineOp(
                 self._label(iteration, 0, "barrier"),
                 OpKind.BARRIER,
-                deps=self._iteration_comm_ops.get(iteration, []),
+                deps=self._comm_ops,
             )
         )
-        self._barriers[iteration] = barrier
+        self._comm_ops = []
+        self._barrier = barrier
         return barrier
 
 
@@ -159,21 +177,23 @@ class VanillaAdapter(Adapter):
                 async_launch=False,
             )
         )
-        self._tasks[(iteration, layer)] = task
-        self._iteration_comm_ops.setdefault(iteration, []).append(op)
-        if not self.barrier_engine:
-            self._gates[(iteration, layer)] = op
+        if iteration != self._iteration:
+            self._enter(iteration)
+        if self.barrier_engine:
+            self._comm_ops.append(op)
+        else:
+            self._gates[layer] = op
         return op
 
     def forward_gate(self, iteration, layer):
-        if iteration == 0:
-            return None
-        # A missing entry means this worker skipped iteration i-1
-        # (elastic rejoin): nothing of its own to wait for — the job
+        # Tables of another iteration mean this worker skipped iteration
+        # i-1 (elastic rejoin): nothing of its own to wait for — the job
         # gates its first forward on the membership state sync instead.
+        if iteration - 1 != self._iteration:
+            return None
         if self.barrier_engine:
-            return self._barriers.get(iteration - 1)
-        return self._gates.get((iteration - 1, layer))
+            return self._barrier
+        return self._gates.get(layer)
 
 
 class ByteSchedulerAdapter(Adapter):
@@ -188,8 +208,10 @@ class ByteSchedulerAdapter(Adapter):
                 on_start=lambda c=countdown, p=self.party: c.arrive(p),
             )
         )
-        self._tasks[(iteration, layer)] = task
+        if iteration != self._iteration:
+            self._enter(iteration)
         if self.barrier_engine:
+            self._tasks[layer] = task
             # Figure 7: the actual transfer runs out of engine; this op
             # returns at launch so the global barrier can pass.
             op = self.engine.post(
@@ -201,6 +223,7 @@ class ByteSchedulerAdapter(Adapter):
                     async_launch=True,
                 )
             )
+            self._comm_ops.append(op)
         else:
             # Figure 6: the communication op stays in-engine but is held
             # until the Core reports notify_finish; the engine's own
@@ -213,23 +236,22 @@ class ByteSchedulerAdapter(Adapter):
                     release=task.finished,
                 )
             )
-            self._gates[(iteration, layer)] = op
-        self._iteration_comm_ops.setdefault(iteration, []).append(op)
+            self._gates[layer] = op
         return op
 
     def forward_gate(self, iteration, layer):
-        if iteration == 0:
+        if iteration - 1 != self._iteration:
+            # This worker skipped iteration i-1 (elastic rejoin): its
+            # membership sync gates it instead.
             return None
         if not self.barrier_engine:
-            # A missing gate means this worker skipped iteration i-1
-            # (elastic rejoin): its membership sync gates it instead.
-            return self._gates.get((iteration - 1, layer))
+            return self._gates.get(layer)
         # Figure 8: a per-layer forward proxy enforces the cross-
         # iteration dependency that the engine itself cannot track.
-        task = self._tasks.get((iteration - 1, layer))
-        barrier = self._barriers.get(iteration - 1)
+        task = self._tasks.get(layer)
+        barrier = self._barrier
         if task is None or barrier is None:
-            return None  # skipped iteration i-1 (elastic rejoin)
+            return None
         return self.engine.post(
             EngineOp(
                 self._label(iteration, layer, "fp_proxy"),

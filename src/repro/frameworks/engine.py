@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Callable, Iterable, List, Optional, Union
+from typing import Callable, Iterable, List, Optional, Sequence, Union
 
 from repro.errors import ConfigError
 from repro.sim import Environment, Event
@@ -56,7 +56,15 @@ DepLike = Union["EngineOp", Event]
 
 
 class EngineOp:
-    """One operation posted to a framework engine."""
+    """One operation posted to a framework engine.
+
+    ``deps`` — the ops and events this op waits for — is consumed when
+    the engine starts waiting on them (:meth:`Engine._after_deps`) and
+    then cleared: otherwise each op would reach every earlier op of the
+    run through its dependency chain, and a long run would hold all its
+    iterations instead of those in flight.  (An imperative engine waits
+    only at its barriers, whose clearing cuts the chain per iteration.)
+    """
 
     __slots__ = (
         "name",
@@ -92,7 +100,7 @@ class EngineOp:
             raise ConfigError(f"op {name!r}: COMM ops need a launch callable")
         self.name = name
         self.kind = kind
-        self.deps: List[DepLike] = list(deps)
+        self.deps: Sequence[DepLike] = list(deps)
         self.duration = duration
         self.launch = launch
         self.async_launch = async_launch
@@ -188,8 +196,10 @@ class Engine:
         wait-for-all condition event would have been scheduled.  A
         failed dependency instead defers :meth:`_fail` at once, and
         ``then`` never runs; failures of the others are defused.
+        ``op.deps`` is consumed here and cleared.
         """
         deps = op.dep_events()
+        op.deps = ()
         if not deps:
             then(op)
             return

@@ -15,6 +15,7 @@ would work across frameworks and communication methods", §3.1).
 from __future__ import annotations
 
 import math
+import numbers
 import random
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -33,6 +34,13 @@ from repro.training.cluster import ClusterSpec, SchedulerSpec
 from repro.training.metrics import TrainingResult
 
 __all__ = ["TrainingJob"]
+
+
+def _check_count(name: str, value, why: str = "") -> None:
+    """Raise :class:`ConfigError` unless ``value`` is an iteration
+    count: an integer >= 1 (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ConfigError(f"{name} must be an integer >= 1{why}, got {value!r}")
 
 
 class TrainingJob:
@@ -141,8 +149,9 @@ class TrainingJob:
         self._iteration_done: Dict[int, float] = {}
         self._iteration_members: Dict[int, int] = {}
         self._iteration_watches: List[Dict] = []
-        #: Every gradient countdown built so far (a late permanent
-        #: crash must excuse its worker from all of them).
+        #: The collective gradient countdowns that have not fired yet (a
+        #: late permanent crash must excuse its worker from them; one
+        #: that fired needs no excuse and is dropped).
         self._countdowns: List[ReadyCountdown] = []
         #: Outstanding per-iteration sampling gates (see _worker_done).
         self._pending_samples: List[Dict] = []
@@ -378,6 +387,13 @@ class TrainingJob:
                     lambda _evt, w=worker, p=pending: self._worker_done(w, p)
                 )
 
+    def _drop_fired_countdowns(self) -> None:
+        """Forget the countdowns that fired (called where the clock may
+        have moved: :meth:`advance`, :meth:`drain`).  By pending, not by
+        iteration: a layer-0 countdown can fire after its iteration's
+        marker."""
+        self._countdowns = [c for c in self._countdowns if c.pending]
+
     def _worker_done(self, worker: str, pending: Dict) -> None:
         pending["waiting"].discard(worker)
         if not pending["waiting"]:
@@ -537,8 +553,7 @@ class TrainingJob:
     def extend(self, iterations: int) -> None:
         """Append ``iterations`` more training iterations to the program
         (used by the online tuner to interleave training and tuning)."""
-        if iterations < 1:
-            raise ConfigError("iterations must be >= 1")
+        _check_count("iterations", iterations)
         for _ in range(iterations):
             self._build_iteration(self._built_iterations)
             self._built_iterations += 1
@@ -556,12 +571,12 @@ class TrainingJob:
         many iterations actually completed — fewer than asked when the
         job parks below the ``min_workers`` floor with no joins left.
         """
-        if iterations < 1:
-            raise ConfigError("iterations must be >= 1")
+        _check_count("iterations", iterations)
         completed = 0
         for _ in range(iterations):
             if self.membership is not None and not self.membership.on_boundary():
                 break
+            self._drop_fired_countdowns()
             index = self._built_iterations
             self._build_iteration(index)
             self._built_iterations += 1
@@ -582,6 +597,7 @@ class TrainingJob:
         if self.membership is not None:
             self.membership.retire_watches()
         self.env.run()
+        self._drop_fired_countdowns()
         for worker, times in self._markers.items():
             if worker in self._dead_workers:
                 continue
@@ -596,7 +612,8 @@ class TrainingJob:
     def _deadlocked(self, what: str) -> ConfigError:
         """The error for a run that stopped short: ``what`` failed, and
         every link still holding a frame is named with its head's
-        completion time, next to the clock."""
+        completion time, next to the clock; a PS backend also names the
+        chunks still aggregating and whose pushes or pulls they lack."""
         links = self.fabric.links() if self.fabric is not None else []
         links.extend(getattr(self.backend, "update_pipes", {}).values())
         stuck = [
@@ -605,6 +622,10 @@ class TrainingJob:
             if link.head_end is not None
         ]
         where = "; links with queued frames: " + ", ".join(stuck) if stuck else ""
+        describe = getattr(self.backend, "describe_pending", None)
+        chunks = describe() if describe is not None else ""
+        if chunks:
+            where += "; " + chunks
         return ConfigError(
             f"{what} — the op graph deadlocked at t={self.env.now!r}{where}"
         )
@@ -656,13 +677,13 @@ class TrainingJob:
 
     def run(self, measure: int = 10, warmup: int = 2) -> TrainingResult:
         """Simulate ``warmup + measure`` iterations and report speed."""
-        if measure < 1:
-            raise ConfigError("measure must be >= 1")
-        if warmup < 1:
-            raise ConfigError(
-                "warmup must be >= 1 (iteration 0 has no communication "
-                "overlap and would bias the measurement)"
-            )
+        _check_count("measure", measure)
+        _check_count(
+            "warmup",
+            warmup,
+            " (iteration 0 has no communication overlap and would bias "
+            "the measurement)",
+        )
         if self.membership is not None:
             return self._run_elastic(measure, warmup)
         self.extend(warmup + measure)

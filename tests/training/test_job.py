@@ -221,3 +221,59 @@ def test_deadlock_error_names_the_stuck_link():
     assert f"w0.up (head end {stuck.head_end!r})" in message
     assert stuck.head_end is not None
     assert "w1.up" not in message
+
+
+def test_deadlock_error_names_the_stuck_ps_chunks():
+    job = TrainingJob(
+        resolve_model("resnet50"),
+        ClusterSpec(machines=2, transport="tcp", arch="ps", framework="mxnet", seed=0),
+        SchedulerSpec(kind="bytescheduler"),
+    )
+    job.extend(3)
+    job.env.run(until=0.05)
+    job.engines["w1"].halt()  # w1 stops pushing; w0's chunks wait on it
+    with pytest.raises(ConfigError) as raised:
+        job.drain()
+    message = str(raised.value)
+    pending = sorted(job.backend._pending)
+    assert len(pending) == 16
+    assert "worker w0 completed 1/3 iterations" in message
+    assert f"{len(pending)} PS chunks pending, first 3: " in message
+    for key in pending[:3]:
+        server = job.backend.server_for(job.backend._pending[key].spec)
+        assert f"{key} on {server} (push: w1; pull: w0, w1)" in message
+    assert str(pending[3]) not in message
+
+
+def test_deadlock_error_names_no_chunks_when_none_is_pending():
+    job = TrainingJob(
+        comm_bound_model(),
+        ClusterSpec(machines=2, transport="tcp", arch="ps", framework="mxnet"),
+        SchedulerSpec(kind="fifo"),
+    )
+    assert job._deadlocked("stopped").args[0].endswith(
+        f"deadlocked at t={job.env.now!r}"
+    )
+
+
+@pytest.mark.parametrize(
+    "drive",
+    [
+        lambda job: job.run(measure=2.5),
+        lambda job: job.run(measure=float("nan")),
+        lambda job: job.run(measure=True),
+        lambda job: job.run(measure="2"),
+        lambda job: job.run(measure=2, warmup=float("nan")),
+        lambda job: job.run(measure=2, warmup=True),
+        lambda job: job.extend(2.5),
+        lambda job: job.extend(True),
+        lambda job: job.advance(2.0),
+        lambda job: job.advance(float("nan")),
+        lambda job: job.advance(False),
+    ],
+)
+def test_iteration_counts_must_be_integers(drive):
+    job = TrainingJob(comm_bound_model(), ClusterSpec(machines=1), SchedulerSpec())
+    with pytest.raises(ConfigError, match="must be an integer >= 1"):
+        drive(job)
+    assert job._built_iterations == 0

@@ -32,17 +32,19 @@ def _type_name(obj):
     return f"{kind.__module__}.{kind.__qualname__}"
 
 
-@pytest.mark.parametrize(
-    "arch, framework, scheduler, with_metrics",
-    [
-        ("ps", "mxnet", "bytescheduler", False),
-        ("ps", "mxnet", "fifo", False),  # the vanilla adapter
-        ("allreduce", "pytorch", "dear", False),
-        ("allreduce", "pytorch", "bytescheduler", False),
-        ("allreduce", "tensorflow", "fifo", False),
-        ("ps", "mxnet", "bytescheduler", True),
-    ],
-)
+#: (arch, framework, scheduler, with_metrics): both adapters, both engine
+#: styles, PS, all-reduce and DeAR, with and without a metrics registry.
+CASES = [
+    ("ps", "mxnet", "bytescheduler", False),
+    ("ps", "mxnet", "fifo", False),  # the vanilla adapter
+    ("allreduce", "pytorch", "dear", False),
+    ("allreduce", "pytorch", "bytescheduler", False),
+    ("allreduce", "tensorflow", "fifo", False),
+    ("ps", "mxnet", "bytescheduler", True),
+]
+
+
+@pytest.mark.parametrize("arch, framework, scheduler, with_metrics", CASES)
 def test_finished_job_leaves_no_cyclic_garbage(arch, framework, scheduler, with_metrics):
     gc.collect()
     was_enabled = gc.isenabled()
