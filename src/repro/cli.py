@@ -25,7 +25,7 @@ from typing import List, Optional
 
 from repro._version import __version__
 from repro.core.kinds import SCHEDULER_KINDS
-from repro.errors import ConfigError, FaultPlanError, SchedulerError
+from repro.errors import ConfigError, FaultPlanError, SchedulerError, TuningError
 from repro.units import MB
 
 __all__ = ["main", "build_parser"]
@@ -619,7 +619,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, SchedulerError) as error:
+    except (ConfigError, SchedulerError, TuningError) as error:
         if args.command not in ("run", "tune"):
             raise
         # A knob or cluster shape the simulator rejects: a usage error.

@@ -73,9 +73,9 @@ class FusionCore(ByteSchedulerCore):
             # Horovod's background loop wakes every cycle and fuses
             # whatever became ready since the last wake-up.
             self._cycle_armed = True
-            self.env.timeout(self.cycle_time).callbacks.append(self._cycle)
+            self.env.defer(self._cycle, None, self.cycle_time)
 
-    def _cycle(self, _evt) -> None:
+    def _cycle(self, _arg) -> None:
         self._cycle_armed = False
         if self._shutdown or not self._ready_buffer:
             return

@@ -128,7 +128,9 @@ class ResultCache:
         except (OSError, ValueError):
             self.misses += 1
             return None
-        if payload.get("schema") != TRIAL_SCHEMA:
+        # Valid JSON that is not an object (``[]``, ``null``, ...) is a
+        # damaged entry too.
+        if not isinstance(payload, dict) or payload.get("schema") != TRIAL_SCHEMA:
             self.misses += 1
             return None
         self.hits += 1

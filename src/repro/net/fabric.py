@@ -7,18 +7,16 @@ worker pushing to it, and a worker's downlink is shared by every server
 it pulls from.  Local (same-node) transfers route through a loopback
 link with the local transport model.
 
-Two entry points share one routing path.  :meth:`Fabric.transfer`
-returns a :class:`TransferHandle` with ``sent`` and ``delivered``
-events; :meth:`Fabric.send` takes a delivery callback instead and
-allocates no handle or event, which is what the per-chunk PS path
-uses.  Both fire at the same simulated time and same-instant position.
+:meth:`Fabric.send` is the one entry point.  It reports only the
+delivery, by calling back, which is all the layers above need: the
+Core hears that a transfer finished through one signal.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional, Union
+from typing import Callable, Dict, Iterable, List, Optional
 
-from repro.sim import Environment, Event, Trace
+from repro.sim import Environment, Trace
 from repro.net.link import Link
 from repro.net.message import Message
 from repro.net.nic import DuplexNIC
@@ -29,71 +27,17 @@ from repro.net.transport import (
 )
 from repro.units import GB
 
-__all__ = ["Fabric", "TransferHandle"]
-
-_UNSENT = object()
-
-
-class TransferHandle:
-    """The two milestones of a transfer.
-
-    ``sent`` fires when the message's last byte leaves the *sender's*
-    link — the sending buffer is free again (what sender credits track);
-    ``delivered`` fires when it reaches the destination.
-
-    ``sent`` is materialised lazily: most transfers (the RDMA PS path,
-    every collective) only ever wait on ``delivered``, so the fabric
-    records the milestone internally and allocates the event — plus its
-    kernel entry — only for handles whose ``sent`` is actually read.
-    """
-
-    __slots__ = ("delivered", "_env", "_sent", "_sent_value")
-
-    def __init__(
-        self,
-        sent: Optional[Event] = None,
-        delivered: Optional[Event] = None,
-        env: Optional[Environment] = None,
-    ) -> None:
-        self.delivered = delivered
-        self._env = env if env is not None else delivered.env
-        self._sent = sent
-        self._sent_value: Any = _UNSENT
-
-    @property
-    def sent(self) -> Event:
-        event = self._sent
-        if event is None:
-            event = self._sent = Event(self._env)
-            if self._sent_value is not _UNSENT:
-                # The uplink already finished before anyone asked.
-                event.succeed(self._sent_value)
-        return event
-
-    def _mark_sent(self, message: Message) -> None:
-        """Record the sender-side completion (fabric-internal)."""
-        event = self._sent
-        if event is None:
-            self._sent_value = message
-        elif not event.triggered:
-            event.succeed(message)
-
-    def __repr__(self) -> str:
-        return (
-            f"<TransferHandle sent={self._sent!r} delivered={self.delivered!r}>"
-        )
+__all__ = ["Fabric"]
 
 
 class _Sink:
     """The one-shot delivery target of :meth:`Fabric.send`.
 
-    It offers the two members the fabric uses on a delivery target —
-    ``triggered`` and ``succeed`` — so :meth:`Fabric._launch` serves
-    both APIs.  Where :meth:`Fabric.transfer` succeeds an :class:`Event`
-    (one kernel entry, whose callbacks then run), ``succeed`` here
-    defers ``on_delivered(message)`` (one kernel entry at the same
-    position, running the callback directly).  The first copy to
-    arrive wins, as with an event.
+    Every copy of a message (retransmits and injected duplicates too)
+    carries the same sink, and the first copy to arrive wins:
+    ``succeed`` defers ``on_delivered(message)`` into its own kernel
+    entry and marks the sink ``triggered``, so later copies are
+    absorbed.
     """
 
     __slots__ = ("env", "on_delivered", "triggered")
@@ -227,9 +171,8 @@ class Fabric:
         (a ``drop`` trace point is recorded): a transfer submitted from
         a dead source never enters the network, a message crossing the
         wire when its sender dies is cut off, and one arriving at a
-        dead destination is discarded.  Dropped transfers leave their
-        handle events untriggered — retry/abort machinery above decides
-        what happens next.
+        dead destination is discarded.  A dropped transfer never calls
+        back — retry/abort machinery above decides what happens next.
         """
         self._is_up = is_up
 
@@ -275,40 +218,21 @@ class Fabric:
                 "drop", f"{message.kind}:{message.src}->{message.dst}@{where}"
             )
 
-    def transfer(self, message: Message) -> TransferHandle:
-        """Move ``message`` from its src to its dst.
-
-        Remote transfers take two FIFO hops (src uplink, then dst
-        downlink, entered in uplink-completion order); local transfers
-        take one loopback hop.  The returned handle exposes both the
-        sender-side completion and the delivery.
-        """
-        delivered = Event(self.env)
-        handle = TransferHandle(delivered=delivered, env=self.env)
-        self._submit(message, delivered, handle)
-        return handle
-
     def send(
         self, message: Message, on_delivered: Callable[[Message], None]
     ) -> None:
-        """Move ``message`` like :meth:`transfer`, but report only the
-        delivery, by calling ``on_delivered(message)``.
+        """Move ``message`` from its src to its dst and call
+        ``on_delivered(message)`` when it arrives.
 
-        The call runs in its own kernel entry, scheduled at the point
-        where :meth:`transfer` would have succeeded ``delivered``, so
-        ``send(m, f)`` fires ``f`` at the same time and same-instant
-        position as appending ``f`` to ``transfer(m).delivered`` —
-        without the handle, the event or its callbacks list.  A dropped
-        message never calls ``on_delivered``.
+        Remote transfers take two FIFO hops (src uplink, then dst
+        downlink, entered in uplink-completion order); local transfers
+        take one loopback hop.  The call runs in its own kernel entry at
+        the delivery instant.  A dropped message never calls
+        ``on_delivered``.
         """
-        self._submit(message, _Sink(self.env, on_delivered), None)
+        self._submit(message, _Sink(self.env, on_delivered))
 
-    def _submit(
-        self,
-        message: Message,
-        delivered: Union[Event, _Sink],
-        handle: Optional[TransferHandle],
-    ) -> None:
+    def _submit(self, message: Message, delivered: _Sink) -> None:
         nics = self.nics
         canonical = self._canonical
         if message.src not in nics and message.src not in canonical:
@@ -317,20 +241,11 @@ class Fabric:
             raise KeyError(f"unknown destination node {message.dst!r}")
         if self.guard is not None and message.checksum is None:
             self.guard.stamp(message)
-        self._launch(message, delivered, handle)
+        self._launch(message, delivered)
 
-    def _launch(
-        self,
-        message: Message,
-        delivered: Union[Event, _Sink],
-        handle: Optional[TransferHandle] = None,
-    ) -> None:
+    def _launch(self, message: Message, delivered: _Sink) -> None:
         """Put one copy of ``message`` on the wire toward ``delivered``
-        (also the NACK-retransmit re-entry point — retransmits pass no
-        ``handle``; the original copy already claimed the sender-side
-        milestone).  ``delivered`` is the one-shot delivery target: an
-        :class:`Event` for :meth:`transfer`, a :class:`_Sink` for
-        :meth:`send`."""
+        (also the NACK-retransmit re-entry point)."""
         is_up = self._is_up
         if is_up is not None and not is_up(message.src):
             self._drop(message, "src")
@@ -347,8 +262,6 @@ class Fabric:
             checksum_at_switch = message.checksum
 
             def _after_loopback(msg: Message) -> None:
-                if handle is not None:
-                    handle._mark_sent(msg)
                 self._deliver(msg, delivered)
 
             self._loopbacks[src].transmit(message, callback=_after_loopback)
@@ -357,28 +270,21 @@ class Fabric:
                     message, delivered, local=True, checksum=checksum_at_switch
                 )
             return
-        self._launch_remote(message, delivered, src, dst, handle)
+        self._launch_remote(message, delivered, src, dst)
 
     def _launch_remote(
-        self,
-        message: Message,
-        delivered: Union[Event, _Sink],
-        src: str,
-        dst: str,
-        handle: Optional[TransferHandle] = None,
+        self, message: Message, delivered: _Sink, src: str, dst: str
     ) -> None:
         """Route one remote copy: src uplink, then dst downlink.
 
         ``src``/``dst`` are canonical machine names.  Subclasses with a
         multi-level topology (racks, spine) override this to insert the
         extra hops.  Both hops ride the links' batched completion
-        wake-ups — no per-message kernel timeout on either hop.
+        wake-ups.
         """
         downlink = self.nics[dst].downlink
 
         def _after_uplink(msg: Message) -> None:
-            if handle is not None:
-                handle._mark_sent(msg)
             is_up = self._is_up
             if is_up is not None and not (is_up(msg.src) and is_up(msg.dst)):
                 # The sender died mid-serialisation or the receiver is
@@ -410,7 +316,7 @@ class Fabric:
     def _duplicate(
         self,
         message: Message,
-        delivered: Union[Event, _Sink],
+        delivered: _Sink,
         local: bool,
         checksum: Optional[int] = None,
     ) -> None:
@@ -457,7 +363,7 @@ class Fabric:
                 callback=_deliver_copy,
             )
 
-    def _deliver(self, message: Message, delivered: Union[Event, _Sink]) -> None:
+    def _deliver(self, message: Message, delivered: _Sink) -> None:
         """The delivery point: liveness, then the guard's verdict."""
         is_up = self._is_up
         if is_up is not None and not is_up(message.dst):

@@ -14,24 +14,20 @@ into the fault-window helpers.  ``Transport.wire_time`` is always
 called, because :class:`~repro.net.transport.FaultyTransport` draws
 its loss and delay fates there.
 
-Completions are **batched**: completion times on a serial link never
-decrease, so the link keeps its own completion FIFO and each wake-up
-drains *every* completion due at that instant in one callback.
-Callback-style consumers (the fabric's hops, the PS update pipes) ride
-a bare deferred tuple instead of a per-message :class:`Timeout` event.
+Completion is reported by calling back, and completions are
+**batched**: completion times on a serial link never decrease, so the
+link keeps its own completion FIFO of ``(end, callback, message)``
+tuples and each wake-up drains *every* completion due at that instant.
 Each frame still arms its own wake-up, at enqueue, deliberately: one
 kernel entry serving many frames occupies a *different same-instant
 tie-break position* (its sequence number is the head's, not each
 frame's), which was measured to shift simulated iteration times by
 whole transfer slots.  Per-frame wake-ups keep every completion at the
-exact tie-break position a per-message timeout would have had;
-wake-ups for already-drained frames find nothing due and fall through.
-A wake-up is armed for the frame's ``end`` itself
-(:meth:`~repro.sim.Environment.defer_at`), never for ``now`` plus a
-delay: ``now + (end - now)`` can round one ulp below ``end``, and a
-wake-up that early finds its frame not yet due.
-Without a callback, :meth:`Link.transmit` returns the classic
-per-message event.
+tie-break position of its own enqueue; wake-ups for already-drained
+frames find nothing due and fall through.  A wake-up is armed for the
+frame's ``end`` itself (:meth:`~repro.sim.Environment.defer_at`), never
+for ``now`` plus a delay: ``now + (end - now)`` can round one ulp below
+``end``, and a wake-up that early finds its frame not yet due.
 """
 
 from __future__ import annotations
@@ -39,7 +35,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Optional, Sequence, Tuple
 
-from repro.sim import Environment, Event, Trace
+from repro.sim import Environment, Trace
 from repro.net.message import Message
 from repro.net.transport import Transport
 
@@ -152,18 +148,10 @@ class Link:
             callback(message)
 
     def transmit(
-        self,
-        message: Message,
-        callback: Optional[Callable[[Message], None]] = None,
-    ) -> Optional[Event]:
-        """Enqueue ``message``; completion is when its last byte has
-        left this link.
-
-        Without ``callback`` the completion is a returned event (the
-        classic API).  With one, the completion rides the link's
-        batched wake-up — no per-message event — and
-        ``callback(message)`` fires at the exact same simulated time.
-        """
+        self, message: Message, callback: Callable[[Message], None]
+    ) -> None:
+        """Enqueue ``message`` and call ``callback(message)`` when its
+        last byte has left this link."""
         env = self.env
         now = env._now
         message.enqueued_at = now
@@ -192,8 +180,6 @@ class Link:
                 size=message.size,
                 kind=message.kind,
             )
-        if callback is None:
-            return env.timeout(end - now + extra, value=message)
         if extra > 0.0:
             # A reorder fate may legitimately complete after later
             # messages, so it cannot ride the in-order FIFO.
@@ -201,14 +187,13 @@ class Link:
         else:
             self._fifo.append((end, callback, message))
             env.defer_at(self._drain, None, end)
-        return None
 
     def transmit_cut_through(
         self,
         message: Message,
         available_at: float,
-        callback: Optional[Callable[[Message], None]] = None,
-    ) -> Optional[Event]:
+        callback: Callable[[Message], None],
+    ) -> None:
         """Enqueue a message whose bytes *streamed in* while an upstream
         link serialised them (virtual cut-through).
 
@@ -216,8 +201,8 @@ class Link:
         If this link is idle it finishes almost immediately after that
         (it was receiving and forwarding concurrently); if it is
         backlogged, the message still occupies a full service slot:
-        ``end = max(available_at, busy_until + service)``.  ``callback``
-        selects the batched completion path, as on :meth:`transmit`.
+        ``end = max(available_at, busy_until + service)``, when
+        ``callback(message)`` is called, as on :meth:`transmit`.
         """
         env = self.env
         now = env._now
@@ -255,8 +240,6 @@ class Link:
                 size=message.size,
                 kind=message.kind,
             )
-        if callback is None:
-            return env.timeout(max(0.0, end - now) + extra, value=message)
         if extra > 0.0:
             env.defer(callback, message, max(0.0, end - now) + extra)
         else:
@@ -267,7 +250,6 @@ class Link:
                 end = now
             self._fifo.append((end, callback, message))
             env.defer_at(self._drain, None, end)
-        return None
 
     def reset_counters(self) -> None:
         """Zero the byte/message/busy counters (e.g. after warm-up)."""

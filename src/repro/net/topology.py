@@ -133,17 +133,12 @@ class HierarchicalFabric(Fabric):
         return self._rack_of[self.canonical(node)]
 
     def _launch_remote(
-        self,
-        message: Message,
-        delivered,
-        src: str,
-        dst: str,
-        handle=None,
+        self, message: Message, delivered, src: str, dst: str
     ) -> None:
         src_rack = self._rack_of[src]
         dst_rack = self._rack_of[dst]
         if src_rack == dst_rack:
-            return super()._launch_remote(message, delivered, src, dst, handle)
+            return super()._launch_remote(message, delivered, src, dst)
 
         uplink = self.nics[src].uplink
         rack_up = self.rack_uplinks[src_rack]
@@ -151,8 +146,6 @@ class HierarchicalFabric(Fabric):
         downlink = self.nics[dst].downlink
 
         def _after_nic_up(msg: Message) -> None:
-            if handle is not None:
-                handle._mark_sent(msg)
             is_up = self._is_up
             if is_up is not None and not (is_up(msg.src) and is_up(msg.dst)):
                 self._drop(msg, "wire")

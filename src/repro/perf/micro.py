@@ -8,8 +8,8 @@ their time in:
 * ``event_throughput`` — the discrete-event kernel alone: callback
   chains re-arming timeouts, no network, no scheduler.
 * ``link_burst`` — back-to-back frames through one FIFO ``Link`` on
-  the batched callback completion path (the per-hop cost every fabric
-  transfer pays, without the Event allocation of the classic API).
+  its batched completion path (the per-hop cost every fabric transfer
+  pays).
 * ``scheduler_queue`` — ByteSchedulerCore enqueue → schedule → credit
   return against a loopback backend, no training job around it.
 * ``end_to_end`` — one complete ``run_experiment`` (the unit every
@@ -94,9 +94,9 @@ def bench_link_burst(
 ) -> Dict[str, Any]:
     """Frames/second through one FIFO link's batched completion path.
 
-    Each round fires a burst of back-to-back frames at an idle link via
-    the callback API — the exact path every fabric hop rides — and runs
-    the kernel until the burst drains.  Measures enqueue + batched
+    Each round fires a burst of back-to-back frames at an idle link —
+    the path every fabric hop rides — and runs the kernel until the
+    burst drains.  Measures enqueue + batched
     wake-up + completion dispatch, with no Event allocated per frame.
     """
     from repro.net.link import Link

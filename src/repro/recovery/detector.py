@@ -99,7 +99,7 @@ class FailureDetector:
             # sees the flag: the chain stops re-arming — finite heap.
             state["cancelled"] = True
 
-        def probe(_evt=None) -> None:
+        def probe(_arg=None) -> None:
             if state["cancelled"]:
                 return  # watch retired
             self.probes_sent += 1
@@ -137,7 +137,7 @@ class FailureDetector:
                         and not open_ended
                     ):
                         return  # permanent: no restart to wait for
-            self.env.timeout(self.probe_interval).callbacks.append(probe)
+            self.env.defer(probe, None, self.probe_interval)
 
         probe()
         return cancel

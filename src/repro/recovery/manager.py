@@ -196,18 +196,18 @@ class RecoveryManager:
         """Ground-truth trace points at the actual crash/restart times
         (detection lags them; both matter when reading a timeline)."""
 
-        def crashed(_evt=None, node=crash.node) -> None:
+        def crashed(_arg, node=crash.node) -> None:
             self._stats["crashes"] += 1
             self.trace.point("crash", node)
             self._metric_inc("recovery.crashes")
 
-        self.env.timeout(crash.time).callbacks.append(crashed)
+        self.env.defer(crashed, None, crash.time)
         if crash.restarts:
 
-            def restarted(_evt=None, node=crash.node) -> None:
+            def restarted(_arg, node=crash.node) -> None:
                 self.trace.point("restart", node)
 
-            self.env.timeout(crash.restart_time).callbacks.append(restarted)
+            self.env.defer(restarted, None, crash.restart_time)
 
     # -- PS server lifecycle ------------------------------------------------
 
@@ -223,11 +223,11 @@ class RecoveryManager:
                 snap -= interval
             if snap > 0:
 
-                def snapshot(_evt=None, server=crash.node) -> None:
+                def snapshot(_arg, server=crash.node) -> None:
                     self.job.backend.checkpoint(server)
                     self._stats["checkpoints"] += 1
 
-                self.env.timeout(snap).callbacks.append(snapshot)
+                self.env.defer(snapshot, None, snap)
         on_recovery = self._server_restarted if crash.restarts else None
         self.detector.watch(crash.node, self._server_died, on_recovery)
 
@@ -290,15 +290,14 @@ class RecoveryManager:
             if size > 0 and sources and job.fabric is not None:
                 started = self.env.now
                 resync = Message(sources[0], home, size, kind="resync")
-                handle = job.fabric.transfer(resync)
 
-                def synced(_evt=None, home=home, started=started, size=size):
+                def synced(_msg, home=home, started=started, size=size):
                     self.trace.span(
                         "recovery.resync", home, started, self.env.now, size=size
                     )
                     backend.reissue_pulls(home)
 
-                handle.delivered.callbacks.append(synced)
+                job.fabric.send(resync, synced)
             else:
                 backend.reissue_pulls(home)
 
@@ -317,15 +316,14 @@ class RecoveryManager:
             # Bulk state fetch from a surviving worker's parameter copy.
             started = now
             resync = Message(sources[0], server, size, kind="resync")
-            handle = job.fabric.transfer(resync)
 
-            def synced(_evt=None) -> None:
+            def synced(_msg) -> None:
                 self.trace.span(
                     "recovery.resync", server, started, self.env.now, size=size
                 )
                 self._server_resynced(server)
 
-            handle.delivered.callbacks.append(synced)
+            job.fabric.send(resync, synced)
         else:
             self._server_resynced(server)
 

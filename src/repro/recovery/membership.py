@@ -294,7 +294,7 @@ class MembershipManager:
                 sync = Message(
                     job.backend.servers[0], node, sync_bytes, kind="sync"
                 )
-                gate = job.fabric.transfer(sync).delivered
+                gate = self.env.event()
                 gate.callbacks.append(
                     lambda _evt, n=node, s=started, b=sync_bytes: (
                         self.trace.span(
@@ -302,6 +302,9 @@ class MembershipManager:
                         )
                     )
                 )
+                # The delivery's own kernel entry runs the gate's
+                # callbacks, so no second entry is issued.
+                job.fabric.send(sync, gate.succeed_inline)
         job.activate_worker(node, gate)
         if self._detector is not None:
             self._watch_cancels[node] = self._detector.watch(

@@ -1,7 +1,8 @@
 """Trajectory pins for the parameter-server chunk path.
 
 Each case runs a small seeded job (jitter 0.02, 2 + 2 iterations) and
-pins two things: a sha256 over worker-0's iteration markers, the
+pins two things (one all-reduce case rides along, for the fusion
+core's cycle timer): a sha256 over worker-0's iteration markers, the
 backend's sync digest and ``repr`` of the speed (the same material as
 the end-to-end benchmark's fingerprint), and ``env._eid``, the number
 of sequence numbers the kernel handed out.
@@ -47,7 +48,9 @@ def _digest(material) -> str:
     return hashlib.sha256(repr(material).encode()).hexdigest()
 
 
-_CLUSTER_KEYS = ("transport", "synchronous", "retry_timeout", "max_retries")
+_CLUSTER_KEYS = (
+    "arch", "framework", "transport", "synchronous", "retry_timeout", "max_retries"
+)
 
 
 def _single(
@@ -58,7 +61,7 @@ def _single(
     metrics=False,
     **kwargs,
 ):
-    cluster_kwargs = {"transport": "tcp"}
+    cluster_kwargs = {"arch": "ps", "framework": "mxnet", "transport": "tcp"}
     cluster_kwargs.update((k, v) for k, v in kwargs.items() if k in _CLUSTER_KEYS)
     job_kwargs = {k: v for k, v in kwargs.items() if k not in _CLUSTER_KEYS}
 
@@ -68,8 +71,6 @@ def _single(
             ClusterSpec(
                 machines=machines,
                 gpus_per_machine=1,
-                arch="ps",
-                framework="mxnet",
                 compute_jitter=0.02,
                 seed=0,
                 **cluster_kwargs,
@@ -149,6 +150,19 @@ CASES = {
         ),
     ),
     "crash-restart": _single(fault_plan=FaultPlan.parse("crash:s0@0.2+0.1")),
+    # A permanent crash migrates the dead server's durable chunks: the
+    # new home re-syncs them over the fabric before re-issuing pulls.
+    "crash-permanent": _single(
+        machines=3, fault_plan=FaultPlan.parse("crash:s1@0.24")
+    ),
+    # The rejoining worker's first forward gates on its state sync.
+    "leave-join": _single(
+        machines=3, fault_plan=FaultPlan.parse("leave:w1@0.05;join:w1@0.2")
+    ),
+    # Not a PS run: the fusion core's cycle timer on the all-reduce path.
+    "allreduce-fusion": _single(
+        arch="allreduce", framework="pytorch", scheduler=SchedulerSpec(kind="fusion")
+    ),
     "corun-hierarchical": _corun,
 }
 
@@ -185,6 +199,18 @@ PINNED = {
     "crash-restart": (
         "3eacae9267220d97f195ceb7114eb6e601c73ce025fbe144a6c561e1ab52b567",
         12526,
+    ),
+    "crash-permanent": (
+        "a056e346f3c1c5a5dd35a39d44d556c0656cd2bf7f7a194366d7add7e40e96e2",
+        18599,
+    ),
+    "leave-join": (
+        "d5d9dbf209993de858645162eda1b62759b954b1ae7eac05bb30e9cf805f7d0e",
+        15490,
+    ),
+    "allreduce-fusion": (
+        "d186331508799785e42b1d3719c940e8d619ce27f6cd8ecf9093bf2caed127f7",
+        1762,
     ),
     "corun-hierarchical": (
         "491eee3fbece64dcb68d8c26d8d474b7a8a15a8bdbf2c8051ffb158eed11b984",

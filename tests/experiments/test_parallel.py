@@ -86,6 +86,17 @@ def test_cache_ignores_stale_schema(tmp_path):
     assert cache.get(key) is None  # stale entry is a miss, not a crash
 
 
+@pytest.mark.parametrize("entry", ["[]", "null", "3", '"x"'])
+def test_cache_entry_that_is_not_an_object_is_a_miss(tmp_path, entry):
+    cache = par.ResultCache(tmp_path)
+    key = "ab" + "0" * 62
+    path = tmp_path / key[:2] / f"{key}.json"
+    path.parent.mkdir(parents=True)
+    path.write_text(entry)
+    assert cache.get(key) is None
+    assert (cache.hits, cache.misses) == (0, 1)
+
+
 def test_run_experiment_uses_session_cache(tmp_path):
     spec = specs()[0]
     plain = run_experiment(

@@ -374,8 +374,10 @@ def test_blackout_under_drift_busy_time_agrees_between_paths():
     plain.set_fault_windows(windows)
     cut.set_fault_windows(windows)
     for size in sizes:
-        plain.transmit(Message("a", "b", size))
-        cut.transmit_cut_through(Message("a", "b", size), available_at=0.0)
+        plain.transmit(Message("a", "b", size), callback=lambda _msg: None)
+        cut.transmit_cut_through(
+            Message("a", "b", size), available_at=0.0, callback=lambda _msg: None
+        )
     assert plain.busy_time == pytest.approx(cut.busy_time)
     assert plain.busy_until == pytest.approx(cut.busy_until)
     # Busy time excludes the blackout stall but includes drift stretch.

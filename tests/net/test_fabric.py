@@ -10,18 +10,18 @@ def make_fabric(env, nodes=("w0", "w1", "s0"), bandwidth=100.0, overhead=0.0):
     return Fabric(env, nodes, bandwidth, Transport("t", overhead, 1.0))
 
 
-def delivered_at(env, events):
-    """Run ``env``; return the time the last of ``events`` fired."""
+def delivered_at(env, fabric, messages):
+    """Send ``messages``, run ``env``; return the last delivery time."""
     times = []
-    for event in events:
-        event.callbacks.append(lambda _evt: times.append(env.now))
+    for message in messages:
+        fabric.send(message, lambda _msg: times.append(env.now))
     env.run()
-    assert len(times) == len(events)
+    assert len(times) == len(messages)
     return times[-1]
 
 
 def run_transfer(env, fabric, message):
-    return delivered_at(env, [fabric.transfer(message).delivered])
+    return delivered_at(env, fabric, [message])
 
 
 def test_remote_transfer_cuts_through():
@@ -36,22 +36,20 @@ def test_remote_transfer_cuts_through():
 def test_transfers_between_disjoint_pairs_run_in_parallel():
     env = Environment()
     fabric = make_fabric(env, nodes=("a", "b", "c", "d"), bandwidth=100.0)
-    done_a = fabric.transfer(Message("a", "b", 100.0)).delivered
-    done_c = fabric.transfer(Message("c", "d", 100.0)).delivered
+    messages = [Message("a", "b", 100.0), Message("c", "d", 100.0)]
 
-    assert delivered_at(env, [done_a, done_c]) == pytest.approx(1.0, abs=1e-3)
+    assert delivered_at(env, fabric, messages) == pytest.approx(1.0, abs=1e-3)
 
 
 def test_shared_destination_downlink_serializes():
     """Two workers pushing to one server contend on its downlink."""
     env = Environment()
     fabric = make_fabric(env, bandwidth=100.0)
-    done_0 = fabric.transfer(Message("w0", "s0", 100.0)).delivered
-    done_1 = fabric.transfer(Message("w1", "s0", 100.0)).delivered
+    messages = [Message("w0", "s0", 100.0), Message("w1", "s0", 100.0)]
 
     # Uplinks run in parallel (1s); the server downlink must still
     # serialize a full service slot for the second message.
-    assert delivered_at(env, [done_0, done_1]) == pytest.approx(2.0, abs=1e-3)
+    assert delivered_at(env, fabric, messages) == pytest.approx(2.0, abs=1e-3)
 
 
 def test_pipelined_partitions_reach_line_rate():
@@ -60,19 +58,19 @@ def test_pipelined_partitions_reach_line_rate():
     chunk k+1)."""
     env = Environment()
     fabric = make_fabric(env, bandwidth=100.0)
-    chunks = [fabric.transfer(Message("w0", "s0", 100.0)).delivered for _ in range(10)]
+    chunks = [Message("w0", "s0", 100.0) for _ in range(10)]
 
     # 10 chunks x 1s on the bottleneck; cut-through hides the fill.
-    assert delivered_at(env, chunks) == pytest.approx(10.0, abs=1e-3)
+    assert delivered_at(env, fabric, chunks) == pytest.approx(10.0, abs=1e-3)
 
 
 def test_duplex_directions_are_independent():
     env = Environment()
     fabric = make_fabric(env, bandwidth=100.0)
-    push = fabric.transfer(Message("w0", "s0", 100.0)).delivered
-    pull = fabric.transfer(Message("s0", "w0", 100.0)).delivered
+    push = Message("w0", "s0", 100.0)
+    pull = Message("s0", "w0", 100.0)
 
-    assert delivered_at(env, [push, pull]) == pytest.approx(1.0, abs=1e-3)
+    assert delivered_at(env, fabric, [push, pull]) == pytest.approx(1.0, abs=1e-3)
 
 
 def test_local_transfer_uses_loopback():
@@ -94,9 +92,9 @@ def test_unknown_nodes_rejected():
     env = Environment()
     fabric = make_fabric(env)
     with pytest.raises(KeyError):
-        fabric.transfer(Message("w0", "nope", 1.0))
+        fabric.send(Message("w0", "nope", 1.0), lambda _msg: None)
     with pytest.raises(KeyError):
-        fabric.transfer(Message("nope", "w0", 1.0))
+        fabric.send(Message("nope", "w0", 1.0), lambda _msg: None)
 
 
 def test_duplicate_node_rejected():
@@ -115,8 +113,7 @@ def test_nodes_listed_in_insertion_order():
 def test_reset_counters_clears_all_nics():
     env = Environment()
     fabric = make_fabric(env)
-    fabric.transfer(Message("w0", "s0", 100.0))
-    env.run()
+    run_transfer(env, fabric, Message("w0", "s0", 100.0))
     fabric.reset_counters()
     assert fabric.nic("w0").uplink.bytes_sent == 0.0
     assert fabric.nic("s0").downlink.bytes_sent == 0.0

@@ -36,6 +36,13 @@ def drain(env):
     env.run()
 
 
+def send(fabric, message):
+    """Send ``message``; returns the list its delivery is appended to."""
+    delivered = []
+    fabric.send(message, delivered.append)
+    return delivered
+
+
 # -- stamping and the happy path -------------------------------------------
 
 
@@ -45,18 +52,18 @@ def test_guard_stamps_epoch_and_checksum():
     fabric.enable_integrity()
     message = Message("w0", "s0", 50.0)
     assert message.checksum is None
-    handle = fabric.transfer(message)
+    delivered = send(fabric, message)
     assert message.epoch == 0
     assert message.checksum == message.expected_checksum()
     drain(env)
-    assert handle.delivered.triggered
+    assert delivered
 
 
 def test_no_guard_means_no_stamping():
     env = Environment()
     fabric = make_fabric(env)
     message = Message("w0", "s0", 50.0)
-    fabric.transfer(message)
+    send(fabric, message)
     assert message.checksum is None and message.epoch is None
     assert message.checksum_ok()  # unstamped always verifies
 
@@ -74,12 +81,12 @@ def test_corrupt_final_chunk_of_partitioned_tensor_is_retransmitted():
     guard = inject(
         fabric, fabric.nics["s0"].downlink, corrupt=((2.5, 3.5, 0.999),)
     )
-    handles = [
-        fabric.transfer(Message("w0", "s0", 100.0, kind=f"chunk{i}"))
+    deliveries = [
+        send(fabric, Message("w0", "s0", 100.0, kind=f"chunk{i}"))
         for i in range(4)
     ]
     drain(env)
-    assert all(handle.delivered.triggered for handle in handles)
+    assert all(deliveries)
     stats = guard.stats
     assert stats.corrupt_injected == 1
     assert stats.corrupt_detected == 1
@@ -91,9 +98,9 @@ def test_retransmit_budget_exhausts_on_permanently_corrupting_link():
     env = Environment()
     fabric = make_fabric(env)
     guard = inject(fabric, fabric.nics["s0"].downlink, corrupt=ALWAYS)
-    handle = fabric.transfer(Message("w0", "s0", 10.0))
+    delivered = send(fabric, Message("w0", "s0", 10.0))
     drain(env)
-    assert not handle.delivered.triggered
+    assert not delivered
     stats = guard.stats
     # Initial copy + 5 retransmits, each corrupted and detected.
     assert stats.corrupt_detected == 6
@@ -130,9 +137,9 @@ def test_injected_duplicate_is_absorbed():
     env = Environment()
     fabric = make_fabric(env)
     guard = inject(fabric, fabric.nics["w0"].uplink, dup=((0.0, 0.5, 0.999),))
-    handle = fabric.transfer(Message("w0", "s0", 10.0))
+    delivered = send(fabric, Message("w0", "s0", 10.0))
     drain(env)
-    assert handle.delivered.triggered
+    assert len(delivered) == 1
     stats = guard.stats
     assert stats.dup_injected == 1
     assert stats.dup_absorbed == 1
@@ -151,9 +158,9 @@ def test_corrupt_duplicate_keeps_both_identities():
         corrupt=((0.0, 0.05, 0.999),),
         dup=((0.0, 0.05, 0.999),),
     )
-    handle = fabric.transfer(Message("w0", "s0", 10.0))
+    delivered = send(fabric, Message("w0", "s0", 10.0))
     drain(env)
-    assert handle.delivered.triggered
+    assert len(delivered) == 1
     stats = guard.stats
     assert stats.corrupt_injected == 2  # original + forged copy
     assert stats.corrupt_detected == 2
@@ -167,17 +174,17 @@ def test_dedup_window_eviction_readmits_old_seq():
     fabric = make_fabric(env)
     guard = fabric.enable_integrity(window=2)
     first = Message("w0", "s0", 10.0)
-    fabric.transfer(first)
+    send(fabric, first)
     for _ in range(2):
-        fabric.transfer(Message("w0", "s0", 10.0))
+        send(fabric, Message("w0", "s0", 10.0))
     drain(env)
     assert guard.stats.window_evictions == 1  # first seq pushed out
     # A replay of the evicted seq is accepted again — the window was
     # too small for this traffic, and the eviction counter says so.
     replay = Message("w0", "s0", 10.0, uid=first.uid)
-    handle = fabric.transfer(replay)
+    delivered = send(fabric, replay)
     drain(env)
-    assert handle.delivered.triggered
+    assert delivered
     assert guard.stats.dedup_dropped == 0
 
 
@@ -187,9 +194,9 @@ def test_dup_pending_dies_with_wire_dropped_frame():
     fabric = make_fabric(env)
     guard = inject(fabric, fabric.nics["w0"].uplink, dup=ALWAYS)
     fabric.set_liveness(lambda node: not (node == "s0" and env.now >= 0.05))
-    handle = fabric.transfer(Message("w0", "s0", 10.0))
+    delivered = send(fabric, Message("w0", "s0", 10.0))
     drain(env)
-    assert not handle.delivered.triggered
+    assert not delivered
     stats = guard.stats
     assert stats.dup_injected == 1
     assert stats.dup_lost == 1
@@ -204,15 +211,15 @@ def test_stale_epoch_drop_counted_exactly_once():
     fabric = make_fabric(env)
     guard = fabric.enable_integrity()
     message = Message("w0", "s0", 10.0)
-    handle = fabric.transfer(message)  # stamped with s0's epoch 0
+    delivered = send(fabric, message)  # stamped with s0's epoch 0
     fabric.bump_incarnation("s0")  # s0 restarts while the bytes fly
     drain(env)
-    assert not handle.delivered.triggered
+    assert not delivered
     assert guard.stats.stale_dropped == 1
     # A fresh send stamps the new epoch and goes through.
-    handle2 = fabric.transfer(Message("w0", "s0", 10.0))
+    delivered = send(fabric, Message("w0", "s0", 10.0))
     drain(env)
-    assert handle2.delivered.triggered
+    assert delivered
     assert guard.stats.stale_dropped == 1
 
 
@@ -235,9 +242,8 @@ def test_reorder_delays_delivery_without_extending_link_busy():
         reorder=((0.0, 1.5, 0.999),),
     )
     downlink = fabric.nics["s0"].downlink
-    handle = fabric.transfer(Message("w0", "s0", 100.0))
     delivered_at = []
-    handle.delivered.callbacks.append(lambda _evt: delivered_at.append(env.now))
+    fabric.send(Message("w0", "s0", 100.0), lambda _msg: delivered_at.append(env.now))
     env.run()
     assert guard.stats.reorder_injected == 1
     # Delivery slips by the injector's lingering delay...

@@ -10,21 +10,24 @@ def make_link(env, bandwidth=100.0, overhead=0.0, trace=None):
     return Link(env, "n0.up", bandwidth, Transport("t", overhead, 1.0), trace)
 
 
-def fired_at(env, events):
-    """Run ``env``; return the time each of ``events`` fired, in order
-    of firing."""
+def fired_at(env, link, messages):
+    """Transmit ``messages``, run ``env``; return the time each
+    completed, in order of completion."""
     times = []
-    for event in events:
-        event.callbacks.append(lambda _evt: times.append(env.now))
+    for message in messages:
+        link.transmit(message, callback=lambda _msg: times.append(env.now))
     env.run()
     return times
+
+
+def ignore(_message):
+    """Completion callback for a frame whose completion is not checked."""
 
 
 def test_single_message_takes_size_over_bandwidth():
     env = Environment()
     link = make_link(env, bandwidth=100.0)
-    done = link.transmit(Message("a", "b", 250.0))
-    assert fired_at(env, [done]) == [pytest.approx(2.5)]
+    assert fired_at(env, link, [Message("a", "b", 250.0)]) == [pytest.approx(2.5)]
 
 
 def test_messages_serialize_fifo():
@@ -32,8 +35,10 @@ def test_messages_serialize_fifo():
     link = make_link(env, bandwidth=100.0)
     finished = []
     for name in ("first", "second"):
-        done = link.transmit(Message("a", "b", 100.0))
-        done.callbacks.append(lambda _evt, name=name: finished.append((name, env.now)))
+        link.transmit(
+            Message("a", "b", 100.0),
+            callback=lambda _msg, name=name: finished.append((name, env.now)),
+        )
     env.run()
     assert finished == [("first", pytest.approx(1.0)), ("second", pytest.approx(2.0))]
 
@@ -45,10 +50,12 @@ def test_no_preemption_small_message_waits_behind_large():
     link = make_link(env, bandwidth=100.0)
     order = []
 
-    big = link.transmit(Message("a", "b", 1000.0, kind="big"))
-    small = link.transmit(Message("a", "b", 1.0, kind="small"))
-    big.callbacks.append(lambda evt: order.append("big"))
-    small.callbacks.append(lambda evt: order.append("small"))
+    link.transmit(
+        Message("a", "b", 1000.0, kind="big"), callback=lambda _msg: order.append("big")
+    )
+    link.transmit(
+        Message("a", "b", 1.0, kind="small"), callback=lambda _msg: order.append("small")
+    )
     env.run()
     assert order == ["big", "small"]
 
@@ -56,31 +63,30 @@ def test_no_preemption_small_message_waits_behind_large():
 def test_overhead_applies_per_message():
     env = Environment()
     link = make_link(env, bandwidth=100.0, overhead=0.5)
-    events = [link.transmit(Message("a", "b", 100.0)) for _ in range(3)]
+    messages = [Message("a", "b", 100.0) for _ in range(3)]
     # Each message: 1s wire + 0.5s overhead, serialized.
-    assert fired_at(env, events)[-1] == pytest.approx(4.5)
+    assert fired_at(env, link, messages)[-1] == pytest.approx(4.5)
 
 
 def test_idle_gap_then_transmit_starts_immediately():
     env = Environment()
     link = make_link(env, bandwidth=100.0)
     env.run(until=10.0)
-    done = link.transmit(Message("a", "b", 100.0))
-    assert fired_at(env, [done]) == [pytest.approx(11.0)]
+    assert fired_at(env, link, [Message("a", "b", 100.0)]) == [pytest.approx(11.0)]
 
 
 def test_queue_delay_reflects_backlog():
     env = Environment()
     link = make_link(env, bandwidth=100.0)
-    link.transmit(Message("a", "b", 500.0))
+    link.transmit(Message("a", "b", 500.0), callback=ignore)
     assert link.queue_delay == pytest.approx(5.0)
 
 
 def test_counters_accumulate():
     env = Environment()
     link = make_link(env, bandwidth=100.0, overhead=0.1)
-    link.transmit(Message("a", "b", 100.0))
-    link.transmit(Message("a", "b", 300.0))
+    link.transmit(Message("a", "b", 100.0), callback=ignore)
+    link.transmit(Message("a", "b", 300.0), callback=ignore)
     env.run()
     assert link.bytes_sent == 400.0
     assert link.messages_sent == 2
@@ -90,7 +96,7 @@ def test_counters_accumulate():
 def test_reset_counters():
     env = Environment()
     link = make_link(env)
-    link.transmit(Message("a", "b", 100.0))
+    link.transmit(Message("a", "b", 100.0), callback=ignore)
     env.run()
     link.reset_counters()
     assert (link.bytes_sent, link.messages_sent, link.busy_time) == (0.0, 0, 0.0)
@@ -100,7 +106,7 @@ def test_trace_records_link_spans():
     env = Environment()
     trace = Trace(env)
     link = make_link(env, bandwidth=100.0, trace=trace)
-    link.transmit(Message("a", "b", 200.0))
+    link.transmit(Message("a", "b", 200.0), callback=ignore)
     env.run()
     (span,) = list(trace.by_category("link"))
     assert span.name == "n0.up"
@@ -126,6 +132,6 @@ def test_message_records_enqueue_time():
     env = Environment()
     link = make_link(env)
     message = Message("a", "b", 10.0)
-    env.defer(link.transmit, message, 3.0)
+    env.defer(lambda msg: link.transmit(msg, callback=ignore), message, 3.0)
     env.run()
     assert message.enqueued_at == 3.0

@@ -18,6 +18,10 @@ from repro.sim import Environment
 BANDWIDTH = 100.0
 
 
+def ignore(_message):
+    """Completion callback: these tests read only the link's counters."""
+
+
 def make_link(env, windows=()):
     link = Link(env, "n0.up", BANDWIDTH, Transport("t", 0.0, 1.0))
     if windows:
@@ -64,7 +68,9 @@ def test_healthy_busy_time_is_sum_of_service_times(sizes, offsets):
     env = Environment()
     link = make_link(env)
     for size, offset in zip(sizes, offsets):
-        link.transmit_cut_through(Message("a", "b", size), available_at=offset)
+        link.transmit_cut_through(
+            Message("a", "b", size), available_at=offset, callback=ignore
+        )
     expected = sum(size / BANDWIDTH for size in sizes)
     assert link.busy_time == pytest.approx(expected)
 
@@ -88,9 +94,9 @@ def test_busy_time_never_exceeds_wall_coverage(
     for size, offset, use_plain in zip(sizes, offsets, plain):
         message = Message("a", "b", size)
         if use_plain:
-            link.transmit(message)
+            link.transmit(message, callback=ignore)
         else:
-            link.transmit_cut_through(message, available_at=offset)
+            link.transmit_cut_through(message, available_at=offset, callback=ignore)
     wall = link.busy_until - env.now
     assert link.busy_time <= wall + 1e-9
     # Degradation can only stretch serialisation, never shrink it.
@@ -105,7 +111,9 @@ def test_cut_through_completion_never_precedes_available_at(sizes, offsets):
     link = make_link(env)
     horizon = env.now
     for size, offset in zip(sizes, offsets):
-        link.transmit_cut_through(Message("a", "b", size), available_at=offset)
+        link.transmit_cut_through(
+            Message("a", "b", size), available_at=offset, callback=ignore
+        )
         assert link.busy_until >= offset
         assert link.busy_until >= horizon  # FIFO horizon is monotonic
         horizon = link.busy_until
@@ -118,8 +126,10 @@ def test_backlogged_link_does_not_charge_idle_tail():
     # gap waiting on upstream is idle, not busy (pre-fix charged 10 s).
     env = Environment()
     link = make_link(env)
-    link.transmit(Message("a", "b", 100.0))
-    link.transmit_cut_through(Message("a", "b", 100.0), available_at=10.0)
+    link.transmit(Message("a", "b", 100.0), callback=ignore)
+    link.transmit_cut_through(
+        Message("a", "b", 100.0), available_at=10.0, callback=ignore
+    )
     assert link.busy_until == pytest.approx(10.0)
     assert link.busy_time == pytest.approx(2.0)
 
@@ -133,7 +143,7 @@ def test_blackout_window_not_charged_as_busy():
     # accounting disagreed on the same wire history.
     env = Environment()
     link = make_link(env, windows=((0.5, 1.5, 0.0),))
-    link.transmit(Message("a", "b", 100.0))
+    link.transmit(Message("a", "b", 100.0), callback=ignore)
     assert link.busy_until == pytest.approx(2.0)
     assert link.busy_time == pytest.approx(1.0)
 
@@ -150,8 +160,10 @@ def test_blackout_busy_time_agrees_between_paths(sizes, bounds):
     plain = make_link(env_plain, windows=windows)
     cut = make_link(env_cut, windows=windows)
     for size in sizes:
-        plain.transmit(Message("a", "b", size))
-        cut.transmit_cut_through(Message("a", "b", size), available_at=0.0)
+        plain.transmit(Message("a", "b", size), callback=ignore)
+        cut.transmit_cut_through(
+            Message("a", "b", size), available_at=0.0, callback=ignore
+        )
     assert plain.busy_time == pytest.approx(cut.busy_time)
     # With factor 0 every non-stalled second moves full-rate bytes, so
     # busy time is exactly the healthy service time.

@@ -16,8 +16,9 @@ def make_fabric(env, nodes=("a", "b")):
     return Fabric(env, nodes, BANDWIDTH, IDEAL, hop_latency=0.0)
 
 
-def collect(event, into):
-    event.callbacks.append(lambda evt: into.append((evt.env.now, evt.value)))
+def collect(env, into):
+    """A completion callback recording ``(time, message)`` in ``into``."""
+    return lambda message: into.append((env.now, message))
 
 
 def test_duplex_directions_are_independent():
@@ -27,8 +28,8 @@ def test_duplex_directions_are_independent():
     nic = DuplexNIC(env, "a", BANDWIDTH, IDEAL)
     done = []
     for _ in range(3):
-        collect(nic.uplink.transmit(Message("a", "b", 100.0)), done)
-        collect(nic.downlink.transmit(Message("b", "a", 100.0)), done)
+        nic.uplink.transmit(Message("a", "b", 100.0), callback=collect(env, done))
+        nic.downlink.transmit(Message("b", "a", 100.0), callback=collect(env, done))
     env.run()
     # Three 1s messages per direction, concurrently: 3s total, not 6s.
     assert env.now == pytest.approx(3.0)
@@ -43,8 +44,8 @@ def test_simultaneous_duplex_saturation_through_fabric():
     fabric = make_fabric(env)
     delivered = []
     for _ in range(4):
-        collect(fabric.transfer(Message("a", "b", 100.0)).delivered, delivered)
-        collect(fabric.transfer(Message("b", "a", 100.0)).delivered, delivered)
+        fabric.send(Message("a", "b", 100.0), collect(env, delivered))
+        fabric.send(Message("b", "a", 100.0), collect(env, delivered))
     env.run()
     assert len(delivered) == 8
     # Four 1s messages per direction; cut-through makes the second hop
@@ -58,8 +59,7 @@ def test_zero_byte_message_traverses_fabric():
     env = Environment()
     fabric = make_fabric(env)
     delivered = []
-    handle = fabric.transfer(Message("a", "b", 0.0))
-    collect(handle.delivered, delivered)
+    fabric.send(Message("a", "b", 0.0), collect(env, delivered))
     env.run()
     assert len(delivered) == 1
     assert delivered[0][0] == pytest.approx(0.0)  # zero size, zero overhead
@@ -81,7 +81,7 @@ def test_loopback_blackout_stalls_local_transfer():
     loop.set_fault_windows(((0.0, 0.5, 0.0),))  # dark until t=0.5
     size = fabric._local_bandwidth * 0.1  # 0.1s of loopback service
     delivered = []
-    collect(fabric.transfer(Message("a", "a", size)).delivered, delivered)
+    fabric.send(Message("a", "a", size), collect(env, delivered))
     env.run()
     overhead = fabric._local_transport.overhead
     assert delivered[0][0] == pytest.approx(0.5 + 0.1 + overhead)
@@ -102,7 +102,7 @@ def test_loopback_under_lossy_transport():
     loop.transport = FaultyTransport(loop.transport, fault, AlwaysLose())
     size = fabric._local_bandwidth * 0.1
     delivered = []
-    collect(fabric.transfer(Message("a", "a", size)).delivered, delivered)
+    fabric.send(Message("a", "a", size), collect(env, delivered))
     env.run()
     overhead = fabric._local_transport.overhead
     # One guaranteed loss: the message serialises twice.
@@ -117,10 +117,7 @@ def test_uplink_blackout_backs_up_fifo_order():
     fabric.nic("a").uplink.set_fault_windows(((0.0, 2.0, 0.0),))
     delivered = []
     for tag in range(3):
-        collect(
-            fabric.transfer(Message("a", "b", 100.0, payload=tag)).delivered,
-            delivered,
-        )
+        fabric.send(Message("a", "b", 100.0, payload=tag), collect(env, delivered))
     env.run()
     tags = [message.payload for _t, message in delivered]
     assert tags == [0, 1, 2]

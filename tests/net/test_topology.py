@@ -16,18 +16,18 @@ def make_hier(env, racks=2, per_rack=2, oversub=2.0, bandwidth=100.0):
     )
 
 
-def delivered_at(env, events):
-    """Run ``env``; return the time the last of ``events`` fired."""
+def delivered_at(env, fabric, messages):
+    """Send ``messages``, run ``env``; return the last delivery time."""
     times = []
-    for event in events:
-        event.callbacks.append(lambda _evt: times.append(env.now))
+    for message in messages:
+        fabric.send(message, lambda _msg: times.append(env.now))
     env.run()
-    assert len(times) == len(events)
+    assert len(times) == len(messages)
     return times[-1]
 
 
 def run_transfer(env, fabric, message):
-    return delivered_at(env, [fabric.transfer(message).delivered])
+    return delivered_at(env, fabric, [message])
 
 
 # -- TopologySpec ----------------------------------------------------------
@@ -97,14 +97,11 @@ def test_oversubscribed_uplink_serializes_scattered_tenants():
     """Two cross-rack flows from one rack queue on the shared uplink."""
     env = Environment()
     hier = make_hier(env, per_rack=2, oversub=2.0, bandwidth=100.0)
-    done = [
-        hier.transfer(Message("r0m0", "r1m0", 100.0)).delivered,
-        hier.transfer(Message("r0m1", "r1m1", 100.0)).delivered,
-    ]
+    flows = [Message("r0m0", "r1m0", 100.0), Message("r0m1", "r1m1", 100.0)]
 
     # Each NIC serialises its flow in 1 s; the 100 B/s shared uplink
     # (2 NICs / 2:1 oversub) then carries 200 B total: 2 s dominate.
-    assert delivered_at(env, done) == pytest.approx(2.0, rel=0.05)
+    assert delivered_at(env, hier, flows) == pytest.approx(2.0, rel=0.05)
     assert hier.rack_uplinks[0].bytes_sent == 200.0
 
 

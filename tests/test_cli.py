@@ -191,6 +191,14 @@ def test_tune_rejects_bad_cluster(capsys):
     assert "invalid configuration" in captured.err
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_tune_rejects_non_positive_trials(capsys, trials):
+    code = main(["tune", "--model", "resnet50", "--machines", "2", "--trials", trials])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "invalid configuration" in captured.err and "max_trials" in captured.err
+
+
 def test_run_integrity_plan_prints_counters(capsys):
     code, out = run_cli(
         capsys,
