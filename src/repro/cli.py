@@ -1,14 +1,15 @@
 """Command-line interface.
 
-Five entry points, runnable as ``python -m repro ...``:
+Six entry points, runnable as ``python -m repro ...``:
 
 * ``run``       — simulate one training configuration (optionally
                   against the vanilla baseline); ``--trace-out`` /
                   ``--metrics-out`` / ``--report-out`` export the run's
                   Chrome trace, per-iteration metrics, and JSON report.
 * ``tune``      — auto-tune (partition, credit) for a configuration.
-* ``reproduce`` — regenerate one of the paper's tables or figures
-                  (``--json-out`` for the machine-readable report;
+* ``reproduce`` — regenerate one of the paper's tables or figures, or
+                  ``all`` of them (``--out``/``--json-out`` for the
+                  markdown report and machine-readable section index;
                   ``--workers``/``--cache-dir`` parallelise and memoise
                   the underlying trials).
 * ``bench``     — run the perf microbenchmarks, write ``BENCH_*.json``,
@@ -21,11 +22,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 from typing import List, Optional
 
 from repro._version import __version__
 from repro.core.kinds import SCHEDULER_KINDS
 from repro.errors import ConfigError, FaultPlanError, SchedulerError, TuningError
+from repro.experiments.report import TARGETS, format_report, run_targets, write_json_report
 from repro.units import MB
 
 __all__ = ["main", "build_parser"]
@@ -105,23 +108,15 @@ def build_parser() -> argparse.ArgumentParser:
     reproduce = commands.add_parser(
         "reproduce", help="regenerate one of the paper's tables/figures"
     )
-    reproduce.add_argument(
-        "target",
-        choices=[
-            "figure2", "figure4", "figure9", "figure10", "figure11",
-            "figure12", "figure13", "figure14", "table1", "p3",
-            "bounds", "ablations", "extensions", "coscheduling", "faults",
-            "recovery", "integrity", "dear", "cluster", "elastic", "drift",
-            "all",
-        ],
-    )
+    reproduce.add_argument("target", choices=[*TARGETS, "all"])
     reproduce.add_argument("--fast", action="store_true",
                            help="smaller scales / fewer iterations")
     reproduce.add_argument("--out", default=None,
-                           help="for 'all': also write the report to a file")
+                           help="also write the markdown report of the "
+                                "target(s) run to a file")
     reproduce.add_argument("--json-out", default=None, metavar="PATH",
-                           help="for 'all': write the machine-readable "
-                                "section index as JSON")
+                           help="write the machine-readable section "
+                                "index of the target(s) run as JSON")
     reproduce.add_argument("--workers", type=int, default=None, metavar="N",
                            help="fan independent trials out over N "
                                 "processes (results are bit-identical "
@@ -390,9 +385,11 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
-    from repro import experiments as exp
     from repro.experiments import parallel
 
+    if args.workers is not None and args.workers < 1:
+        print(f"invalid --workers: {args.workers} (need at least 1)", file=sys.stderr)
+        return 2
     cache_dir = args.cache_dir
     if cache_dir is None and getattr(args, "cache", False):
         cache_dir = parallel.default_cache_dir()
@@ -415,115 +412,30 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     elif getattr(args, "steal", False):
         print("--steal only makes sense with --shard", file=sys.stderr)
         return 2
+    if cache_dir is not None:
+        # Fail before any trial runs, not in the first cache write.
+        try:
+            Path(cache_dir).mkdir(parents=True, exist_ok=True)
+        except OSError as error:
+            print(f"invalid --cache-dir: {error}", file=sys.stderr)
+            return 2
     with parallel.session(
         workers=args.workers,
         cache_dir=cache_dir,
         shard=shard,
         steal=getattr(args, "steal", False),
     ):
-        return _run_reproduce_target(args, exp)
-
-
-def _run_reproduce_target(args: argparse.Namespace, exp) -> int:
-    fast = args.fast
-    target = args.target
-    if target == "figure2":
-        print(exp.figure2.format_result(exp.figure2.run()))
-    elif target == "figure4":
-        sizes = (100, 250, 700) if fast else (100, 160, 250, 400, 550, 700)
-        print(exp.figure4.format_result(exp.figure4.run(machines=2, measure=2, sizes_kb=sizes)))
-    elif target == "figure9":
-        print(exp.figure9.format_result(exp.figure9.run(machines=2 if fast else 4)))
-    elif target in ("figure10", "figure11", "figure12"):
-        model = {"figure10": "vgg16", "figure11": "resnet50", "figure12": "transformer"}[target]
-        machines = (1, 2) if fast else (1, 2, 4, 8)
-        grid = exp.figure10_12.run_model(model, machines_list=machines, measure=3)
-        print(exp.figure10_12.format_model_grid(grid))
-    elif target == "figure13":
-        models = ("vgg16",) if fast else ("vgg16", "resnet50", "transformer")
-        print(exp.figure13.format_result(
-            exp.figure13.run(models=models, machines=2 if fast else 4, measure=2)
-        ))
-    elif target == "figure14":
-        print(exp.figure14.format_result(
-            exp.figure14.run(machines=2, seeds=(0,) if fast else (0, 1, 2))
-        ))
-    elif target == "table1":
-        print(exp.table1.format_result(
-            exp.table1.run(machines=2 if fast else 4, trials=6 if fast else 10)
-        ))
-    elif target == "p3":
-        print(exp.extra.format_p3(exp.extra.run_p3_comparison(machines=2 if fast else 4)))
-        print()
-        print(exp.extra.format_extra_models(exp.extra.run_extra_models(machines=2 if fast else 4)))
-    elif target == "bounds":
-        print(exp.bounds_check.format_result(exp.bounds_check.run(machines=2 if fast else 4)))
-    elif target == "ablations":
-        machines = 2 if fast else 4
-        for runner in (
-            exp.ablations.credit_ablation,
-            exp.ablations.partition_ablation,
-            exp.ablations.barrier_ablation,
-            exp.ablations.sharding_ablation,
-            exp.ablations.fusion_ablation,
-        ):
-            print(exp.ablations.format_ablation(runner(machines=machines)))
-            print()
-    elif target == "all":
-        import sys as _sys
-
-        from repro.experiments.report import generate_report
-
-        text = generate_report(
-            fast=fast, stream=_sys.stderr, json_out=getattr(args, "json_out", None)
+        every = args.target == "all"
+        records = run_targets(
+            TARGETS if every else [args.target], args.fast, stream=sys.stderr if every else None
         )
-        print(text)
-        if getattr(args, "out", None):
-            with open(args.out, "w") as handle:
-                handle.write(text)
-    elif target == "coscheduling":
-        print(exp.coscheduling.format_result(
-            exp.coscheduling.run(machines=2 if fast else 4)
-        ))
-    elif target == "faults":
-        print(exp.faults.format_result(
-            exp.faults.run(machines=2, measure=2 if fast else 3)
-        ))
-    elif target == "recovery":
-        kwargs = {}
-        if fast:
-            kwargs = dict(
-                measure=3,
-                crash_times=(0.4,),
-                restart_delays=(0.1,),
-                checkpoint_intervals=(0.05, 0.2),
-            )
-        print(exp.recovery.format_result(exp.recovery.run(machines=2, **kwargs)))
-    elif target == "integrity":
-        print(exp.faults.format_integrity(
-            exp.faults.run_integrity(machines=2, measure=2 if fast else 3)
-        ))
-        print()
-        print(exp.faults.format_dear_integrity(
-            exp.faults.run_dear_integrity(machines=2, measure=2 if fast else 3)
-        ))
-    elif target == "dear":
-        print(exp.dear.format_result(
-            exp.dear.run(machines=2 if fast else 4, measure=2 if fast else 3)
-        ))
-    elif target == "cluster":
-        print(exp.cluster.format_result(exp.cluster.run(
-            jobs=80 if fast else 200, seeds=(0,) if fast else (0, 1, 2)
-        )))
-    elif target == "elastic":
-        print(exp.elastic.format_result(exp.elastic.run(fast=fast)))
-    elif target == "drift":
-        print(exp.drift.format_result(exp.drift.run(fast=fast)))
-    elif target == "extensions":
-        machines = 2 if fast else 4
-        print(exp.extensions.format_per_layer(exp.extensions.per_layer_partitions(machines=machines)))
-        print(exp.extensions.format_online(exp.extensions.online_tuning_trajectory(machines=machines)))
-        print(exp.extensions.format_async(exp.extensions.async_vs_sync(machines=machines)))
+    report = format_report(records, args.fast)
+    print(report if every else records[0]["body"])
+    if args.out:
+        with open(args.out, "w") as handle:
+            handle.write(report)
+    if args.json_out:
+        write_json_report(records, args.json_out, fast=args.fast)
     return 0
 
 
@@ -583,6 +495,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs import load_trace_file, summarize_trace
 
+    if args.top < 0:
+        print(f"invalid --top: {args.top} (need at least 0)", file=sys.stderr)
+        return 2
     try:
         events = load_trace_file(args.path)
     except (OSError, ValueError) as error:

@@ -1,13 +1,12 @@
-"""One-shot reproduction report.
+"""The ``reproduce`` targets and the reproduction report.
 
-Runs every experiment in DESIGN.md's index and assembles a single
-markdown document — the machine-generated companion to the hand-curated
-EXPERIMENTS.md.  Used by ``python -m repro reproduce all``.
-
-Alongside the markdown, ``json_out`` (or :func:`write_json_report`)
-emits a machine-readable section index — per-section status, wall time,
-and body — so dashboards and regression tooling can consume the run
-without scraping printed tables.
+:data:`TARGETS` has one row per experiment in DESIGN.md's index (name,
+report title, ``run(fast) -> str``) and is the only list of targets and
+of their fast and full arguments.  ``python -m repro reproduce <name>``
+prints one row's body and ``reproduce all`` runs every row in table
+order; either can also write the rows it ran as a markdown report (the
+machine-generated companion to EXPERIMENTS.md) and as a JSON section
+index (status, wall time and body per section).
 """
 
 from __future__ import annotations
@@ -15,61 +14,61 @@ from __future__ import annotations
 import io
 import json
 import time
-from typing import Any, Callable, Dict, List, Optional, TextIO, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Iterable, List, Optional, TextIO
 
-from repro.experiments import (
-    ablations,
-    bounds_check,
-    cluster,
-    coscheduling,
-    dear,
-    extensions,
-    extra,
-    figure2,
-    figure4,
-    figure9,
-    figure10_12,
-    figure13,
-    figure14,
-    table1,
-)
+from repro import experiments as exp
 
-__all__ = ["generate_report", "generate_json_report", "write_json_report", "SECTIONS"]
+__all__ = [
+    "Target", "TARGETS", "run_targets", "format_report", "generate_report", "write_json_report",
+]
 
 
-def _figures_10_12(fast: bool) -> str:
-    machines = (1, 2) if fast else (1, 2, 4, 8)
-    blocks = []
-    for model in ("vgg16", "resnet50", "transformer"):
-        grid = figure10_12.run_model(
-            model, machines_list=machines, measure=2 if fast else 3
-        )
-        blocks.append(figure10_12.format_model_grid(grid))
-    return "\n\n".join(blocks)
+@dataclass(frozen=True)
+class Target:
+    """One ``reproduce`` target and its report section."""
+
+    name: str
+    title: str
+    #: fast -> the section body, exactly as ``reproduce <name>`` prints it.
+    run: Callable[[bool], str]
 
 
-def _figure4(fast: bool) -> str:
-    sizes = (100, 250, 700) if fast else (100, 160, 250, 400, 550, 700)
-    return figure4.format_result(figure4.run(machines=2, measure=2, sizes_kb=sizes))
+def _result(
+    module: str, fast_kwargs: Dict[str, Any], full_kwargs: Dict[str, Any]
+) -> Callable[[bool], str]:
+    """``module.format_result(module.run(**kwargs))``, with the fast or
+    the full keyword arguments."""
+
+    def run(fast: bool) -> str:
+        experiment = getattr(exp, module)
+        return experiment.format_result(experiment.run(**(fast_kwargs if fast else full_kwargs)))
+
+    return run
 
 
-def _figure13(fast: bool) -> str:
-    models = ("vgg16",) if fast else ("vgg16", "resnet50", "transformer")
-    return figure13.format_result(
-        figure13.run(models=models, machines=2 if fast else 4, measure=2)
-    )
+def _speed_grid(model: str) -> Callable[[bool], str]:
+    def run(fast: bool) -> str:
+        machines = (1, 2) if fast else (1, 2, 4, 8)
+        grid = exp.figure10_12.run_model(model, machines_list=machines, measure=3)
+        return exp.figure10_12.format_model_grid(grid)
+
+    return run
 
 
-def _figure14(fast: bool) -> str:
-    return figure14.format_result(
-        figure14.run(machines=2, seeds=(0,) if fast else (0, 1, 2))
+def _p3(fast: bool) -> str:
+    extra, machines = exp.extra, 2 if fast else 4
+    return (
+        extra.format_p3(extra.run_p3_comparison(machines=machines))
+        + "\n\n"
+        + extra.format_extra_models(extra.run_extra_models(machines=machines))
     )
 
 
 def _ablations(fast: bool) -> str:
-    machines = 2 if fast else 4
-    parts = [
-        ablations.format_ablation(runner(machines=machines))
+    ablations, machines = exp.ablations, 2 if fast else 4
+    runs = [
+        runner(machines=machines)
         for runner in (
             ablations.credit_ablation,
             ablations.partition_ablation,
@@ -77,65 +76,105 @@ def _ablations(fast: bool) -> str:
             ablations.sharding_ablation,
         )
     ]
-    parts.append(
-        ablations.format_ablation(ablations.fusion_ablation(machines=8, measure=2))
-    )
-    return "\n\n".join(parts)
+    # Fusion vs partitioning needs the sync-dominated 64-rank ring.
+    runs.append(ablations.fusion_ablation(machines=8, measure=2))
+    return "\n\n".join(ablations.format_ablation(result) for result in runs)
 
 
 def _extensions(fast: bool) -> str:
-    machines = 2 if fast else 4
-    return "\n\n".join(
+    extensions, machines = exp.extensions, 2 if fast else 4
+    return "\n".join(
         [
             extensions.format_per_layer(extensions.per_layer_partitions(machines=machines)),
-            extensions.format_online(
-                extensions.online_tuning_trajectory(machines=machines, segments=5 if fast else 8)
-            ),
+            extensions.format_online(extensions.online_tuning_trajectory(machines=machines)),
             extensions.format_async(extensions.async_vs_sync(machines=machines)),
         ]
     )
 
 
-#: (title, runner) for each report section; runners take `fast`.
-SECTIONS: List[Tuple[str, Callable[[bool], str]]] = [
-    ("Figure 2 — contrived example", lambda fast: figure2.format_result(figure2.run())),
-    ("Figure 4 — FIFO knob sweeps", _figure4),
-    ("Figure 9 — BO search trace", lambda fast: figure9.format_result(
-        figure9.run(machines=2 if fast else 4))),
-    ("Figures 10-12 — speed grids", _figures_10_12),
-    ("Figure 13 — bandwidth sweep", _figure13),
-    ("Figure 14 — search costs", _figure14),
-    ("Table 1 — best knobs", lambda fast: table1.format_result(
-        table1.run(machines=2 if fast else 4, trials=6 if fast else 10))),
-    ("§6.2 — P3 and extra models", lambda fast: extra.format_p3(
-        extra.run_p3_comparison(machines=2 if fast else 4)) + "\n\n" +
-        extra.format_extra_models(extra.run_extra_models(machines=2 if fast else 4))),
-    ("§4.1 — bounds check", lambda fast: bounds_check.format_result(
-        bounds_check.run(machines=2 if fast else 4))),
-    ("Ablations", _ablations),
-    ("§7 extensions", _extensions),
-    ("§7 co-scheduling", lambda fast: coscheduling.format_result(
-        coscheduling.run(machines=2 if fast else 4))),
-    ("DeAR — decoupled all-reduce", lambda fast: dear.format_result(
-        dear.run(machines=2 if fast else 4, measure=2 if fast else 3))),
-    ("Cluster — multi-job scheduling", lambda fast: cluster.format_result(
-        cluster.run(jobs=80 if fast else 200, seeds=(0,) if fast else (0, 1, 2)))),
-]
+def _integrity(fast: bool) -> str:
+    faults, measure = exp.faults, 2 if fast else 3
+    return (
+        faults.format_integrity(faults.run_integrity(machines=2, measure=measure))
+        + "\n\n"
+        + faults.format_dear_integrity(faults.run_dear_integrity(machines=2, measure=measure))
+    )
 
 
-def generate_report(
-    fast: bool = True,
-    stream: Optional[TextIO] = None,
-    sections: Optional[List[str]] = None,
-    json_out: Optional[str] = None,
-) -> str:
-    """Run every experiment and return the markdown report.
+TARGETS: Dict[str, Target] = {
+    row.name: row
+    for row in (
+        # name, title, run: _result(module, fast kwargs, full kwargs) or a runner
+        Target("figure2", "Figure 2 — contrived example", _result("figure2", {}, {})),
+        Target("figure4", "Figure 4 — FIFO knob sweeps", _result(
+            "figure4",
+            dict(machines=2, measure=2, sizes_kb=(100, 250, 700)),
+            dict(machines=2, measure=2, sizes_kb=(100, 160, 250, 400, 550, 700)),
+        )),
+        Target("figure9", "Figure 9 — BO search trace",
+               _result("figure9", dict(machines=2), dict(machines=4))),
+        Target("figure10", "Figure 10 — VGG16 speed grid", _speed_grid("vgg16")),
+        Target("figure11", "Figure 11 — ResNet50 speed grid", _speed_grid("resnet50")),
+        Target("figure12", "Figure 12 — Transformer speed grid", _speed_grid("transformer")),
+        Target("figure13", "Figure 13 — bandwidth sweep", _result(
+            "figure13",
+            dict(models=("vgg16",), machines=2, measure=2),
+            dict(models=("vgg16", "resnet50", "transformer"), machines=4, measure=2),
+        )),
+        Target("figure14", "Figure 14 — search costs", _result(
+            "figure14", dict(machines=2, seeds=(0,)), dict(machines=2, seeds=(0, 1, 2)))),
+        Target("table1", "Table 1 — best knobs", _result(
+            "table1", dict(machines=2, trials=6), dict(machines=4, trials=10))),
+        Target("p3", "§6.2 — P3 and extra models", _p3),
+        Target("bounds", "§4.1 — bounds check",
+               _result("bounds_check", dict(machines=2), dict(machines=4))),
+        Target("ablations", "Ablations", _ablations),
+        Target("extensions", "§7 extensions", _extensions),
+        Target("coscheduling", "§7 co-scheduling",
+               _result("coscheduling", dict(machines=2), dict(machines=4))),
+        Target("faults", "Goodput under faults",
+               _result("faults", dict(machines=2, measure=2), dict(machines=2, measure=3))),
+        Target("recovery", "Crash recovery", _result(
+            "recovery",
+            dict(machines=2, measure=3, crash_times=(0.4,), restart_delays=(0.1,),
+                 checkpoint_intervals=(0.05, 0.2)),
+            dict(machines=2),
+        )),
+        Target("integrity", "Transfer integrity", _integrity),
+        Target("dear", "DeAR — decoupled all-reduce",
+               _result("dear", dict(machines=2, measure=2), dict(machines=4, measure=3))),
+        Target("cluster", "Cluster — multi-job scheduling", _result(
+            "cluster", dict(jobs=80, seeds=(0,)), dict(jobs=200, seeds=(0, 1, 2)))),
+        Target("elastic", "Elastic membership",
+               _result("elastic", dict(fast=True), dict(fast=False))),
+        Target("drift", "Drift robustness", _result("drift", dict(fast=True), dict(fast=False))),
+    )
+}
 
-    ``sections`` optionally filters by (substring of) section title;
-    ``stream`` receives progress lines as sections complete;
-    ``json_out`` additionally writes the machine-readable section index
-    (see :func:`generate_json_report`).
-    """
+
+def run_targets(
+    names: Iterable[str], fast: bool = True, stream: Optional[TextIO] = None
+) -> List[Dict[str, Any]]:
+    """Run the named targets in the order given and return one section
+    record (title, status, wall seconds, body) per target; ``stream``
+    receives a progress line as each section completes."""
+    records: List[Dict[str, Any]] = []
+    for name in names:
+        target = TARGETS[name]
+        started = time.time()
+        body = target.run(fast)
+        elapsed = time.time() - started
+        records.append(
+            {"title": target.title, "seconds": elapsed, "status": "ok", "body": body}
+        )
+        if stream is not None:
+            stream.write(f"[report] {target.title} ({elapsed:.1f}s)\n")
+            stream.flush()
+    return records
+
+
+def format_report(records: List[Dict[str, Any]], fast: bool = True) -> str:
+    """The markdown report of section records from :func:`run_targets`."""
     out = io.StringIO()
     out.write("# ByteScheduler reproduction report\n\n")
     out.write(
@@ -143,60 +182,40 @@ def generate_report(
         f"{' (fast mode)' if fast else ''}.  See EXPERIMENTS.md for the "
         "paper-vs-measured commentary.\n"
     )
-    records: List[Dict[str, Any]] = []
-    for title, runner in SECTIONS:
-        if sections and not any(want.lower() in title.lower() for want in sections):
-            continue
-        started = time.time()
-        body = runner(fast)
-        elapsed = time.time() - started
-        records.append(
-            {"title": title, "seconds": elapsed, "status": "ok", "body": body}
-        )
-        if stream is not None:
-            stream.write(f"[report] {title} ({elapsed:.1f}s)\n")
-            stream.flush()
-        out.write(f"\n## {title}\n\n```\n{body}\n```\n")
-    if json_out:
-        write_json_report(records, json_out, fast=fast)
+    for record in records:
+        out.write(f"\n## {record['title']}\n\n```\n{record['body']}\n```\n")
     return out.getvalue()
 
 
-def generate_json_report(
-    fast: bool = True, sections: Optional[List[str]] = None
-) -> Dict[str, Any]:
-    """Run the (optionally filtered) sections and return the
-    machine-readable report dict without any markdown."""
-    records: List[Dict[str, Any]] = []
-    for title, runner in SECTIONS:
-        if sections and not any(want.lower() in title.lower() for want in sections):
-            continue
-        started = time.time()
-        body = runner(fast)
-        records.append(
-            {
-                "title": title,
-                "seconds": time.time() - started,
-                "status": "ok",
-                "body": body,
-            }
-        )
-    return _json_envelope(records, fast)
-
-
-def _json_envelope(records: List[Dict[str, Any]], fast: bool) -> Dict[str, Any]:
-    return {
-        "generator": "repro.experiments.report",
-        "fast": fast,
-        "sections": records,
-        "total_seconds": sum(record["seconds"] for record in records),
-    }
+def generate_report(
+    fast: bool = True,
+    stream: Optional[TextIO] = None,
+    names: Optional[Iterable[str]] = None,
+    json_out: Optional[str] = None,
+) -> str:
+    """Run the named targets (every row of :data:`TARGETS` by default)
+    and return the markdown report; ``json_out`` also writes the
+    machine-readable section index (see :func:`write_json_report`)."""
+    records = run_targets(TARGETS if names is None else names, fast, stream)
+    if json_out:
+        write_json_report(records, json_out, fast=fast)
+    return format_report(records, fast)
 
 
 def write_json_report(
     records: List[Dict[str, Any]], path: str, fast: bool = True
 ) -> None:
-    """Write section records (from :func:`generate_report`) as JSON."""
+    """Write section records (from :func:`run_targets`) as JSON."""
     with open(path, "w") as handle:
-        json.dump(_json_envelope(records, fast), handle, indent=2, sort_keys=True)
+        json.dump(
+            {
+                "generator": "repro.experiments.report",
+                "fast": fast,
+                "sections": records,
+                "total_seconds": sum(record["seconds"] for record in records),
+            },
+            handle,
+            indent=2,
+            sort_keys=True,
+        )
         handle.write("\n")

@@ -199,12 +199,29 @@ def write_span_log(trace, path: str) -> None:
 
 def load_trace_file(path: str) -> List[Dict[str, Any]]:
     """Load the event list from a trace-event JSON file (either the
-    ``{"traceEvents": [...]}`` envelope or a bare list)."""
+    ``{"traceEvents": [...]}`` envelope or a bare list); ``ValueError``
+    for JSON that :func:`summarize_trace` cannot read."""
     with open(path) as handle:
         doc = json.load(handle)
-    if isinstance(doc, dict):
-        return doc.get("traceEvents", [])
-    return doc
+    events = doc.get("traceEvents") if isinstance(doc, dict) else doc
+    if not isinstance(events, list):
+        raise ValueError("expected a list of events or an object with a 'traceEvents' list")
+    for index, event in enumerate(events):
+        if not isinstance(event, dict) or not isinstance(event.get("cat", ""), str):
+            raise ValueError(f"event {index} is not an object with a string 'cat'")
+        phase = event.get("ph")
+        if phase == "X" and not all(_is_number(event.get(key)) for key in ("ts", "dur")):
+            raise ValueError(f"event {index}: an 'X' event needs numeric 'ts' and 'dur'")
+        if phase == "M" and event.get("name") in ("process_name", "thread_name"):
+            ids, args = (event.get("pid"), event.get("tid")), event.get("args")
+            ids_ok = all(isinstance(value, (int, str)) for value in ids)
+            if not ids_ok or not isinstance(args, dict) or "name" not in args:
+                raise ValueError(f"event {index}: an 'M' event needs 'pid', 'tid' and 'args.name'")
+    return events
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def summarize_trace(events: List[Dict[str, Any]], top: int = 5) -> str:

@@ -299,6 +299,45 @@ def test_trace_subcommand_rejects_missing_file(capsys):
     assert "cannot read trace" in captured.err
 
 
+@pytest.mark.parametrize(
+    "document",
+    [
+        "null",
+        "3",
+        '{"events": []}',
+        '{"traceEvents": {"ph": "X"}}',
+        '{"traceEvents": [1, 2]}',
+        '[{"ph": "X", "dur": 1.0}]',
+        '[{"ph": "X", "ts": "0", "dur": 1.0}]',
+        '[{"ph": "X", "ts": 0, "dur": null}]',
+        '[{"ph": "X", "ts": 0, "dur": 1, "cat": 7}]',
+        '[{"ph": "M", "name": "thread_name", "pid": 1, "args": {"name": "t"}}]',
+        '[{"ph": "M", "name": "process_name", "tid": 0, "args": {"name": "p"}}]',
+        '[{"ph": "M", "name": "thread_name", "pid": 1, "tid": 0, "args": {}}]',
+        '[{"ph": "M", "name": "thread_name", "pid": [1], "tid": 0, "args": {"name": "t"}}]',
+        '[{"ph": "M", "name": "thread_name", "pid": 1, "tid": 0, "args": ["name"]}]',
+    ],
+)
+def test_trace_subcommand_rejects_malformed_events(capsys, tmp_path, document):
+    path = tmp_path / "bad.json"
+    path.write_text(document)
+    code = main(["trace", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "cannot read trace" in captured.err
+    assert captured.out == ""
+
+
+def test_trace_subcommand_rejects_negative_top(capsys, tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text('[{"ph": "X", "ts": 0, "dur": 1, "name": "a", "cat": "link"}]')
+    code = main(["trace", str(path), "--top", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "invalid --top" in captured.err
+    assert main(["trace", str(path), "--top", "0"]) == 0
+
+
 def test_bench_writes_results(tmp_path, capsys):
     out = tmp_path / "BENCH_micro.json"
     code, stdout = run_cli(
@@ -358,3 +397,32 @@ def test_reproduce_with_cache_dir(tmp_path, capsys):
     )
     assert code == 0
     assert warm == cold
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_reproduce_rejects_workers_below_one(capsys, workers):
+    code = main(["reproduce", "figure2", "--workers", workers])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "invalid --workers" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("below", [None, "sub"])
+def test_reproduce_rejects_cache_dir_on_a_file(capsys, tmp_path, monkeypatch, below):
+    import dataclasses
+
+    from repro.experiments.report import TARGETS
+
+    def no_trial(fast):
+        raise AssertionError("a trial ran before the cache path was checked")
+
+    monkeypatch.setitem(TARGETS, "figure2", dataclasses.replace(TARGETS["figure2"], run=no_trial))
+    path = tmp_path / "not-a-dir"
+    path.write_text("")
+    cache_dir = path if below is None else path / below
+    code = main(["reproduce", "figure2", "--cache-dir", str(cache_dir)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "invalid --cache-dir" in captured.err
+    assert captured.out == ""
