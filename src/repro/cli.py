@@ -21,6 +21,7 @@ Six entry points, runnable as ``python -m repro ...``:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -209,11 +210,29 @@ def _cluster_from(args: argparse.Namespace):
     )
 
 
+def _output_error(args: argparse.Namespace, flags: List[str]) -> int:
+    """Check the output paths among ``flags`` before any work runs:
+    print ``invalid --<flag>: ...`` and return 2 for the first one that
+    cannot be written as a file, else return 0.  Creates nothing."""
+    for flag in flags:
+        path = getattr(args, flag.replace("-", "_"))
+        if path and (Path(path).is_dir() or not os.access(Path(path).parent, os.W_OK)):
+            print(
+                f"invalid --{flag}: cannot write {path!r} (a directory, or in "
+                "a directory that is missing or not writable)",
+                file=sys.stderr,
+            )
+            return 2
+    return 0
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.experiments import tuned_knobs
     from repro.training import SchedulerSpec, TrainingJob, run_experiment
     from repro.training.runner import resolve_model
 
+    if _output_error(args, ["trace-out", "span-log", "metrics-out", "report-out"]):
+        return 2
     cluster = _cluster_from(args)
     if SCHEDULER_KINDS[args.scheduler].tunable and args.partition_mb is None:
         partition, credit = tuned_knobs(
@@ -389,6 +408,8 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
 
     if args.workers is not None and args.workers < 1:
         print(f"invalid --workers: {args.workers} (need at least 1)", file=sys.stderr)
+        return 2
+    if _output_error(args, ["out", "json-out"]):
         return 2
     cache_dir = args.cache_dir
     if cache_dir is None and getattr(args, "cache", False):

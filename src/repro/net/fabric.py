@@ -9,7 +9,9 @@ link with the local transport model.
 
 :meth:`Fabric.send` is the one entry point.  It reports only the
 delivery, by calling back, which is all the layers above need: the
-Core hears that a transfer finished through one signal.
+Core hears that a transfer finished through one signal.  Each hop is
+a link frame whose completion is its own kernel entry; the last hop's
+completion calls the transfer's :class:`_Sink` (``arrive``) directly.
 """
 
 from __future__ import annotations
@@ -37,21 +39,25 @@ class _Sink:
     carries the same sink, and the first copy to arrive wins:
     ``succeed`` defers ``on_delivered(message)`` into its own kernel
     entry and marks the sink ``triggered``, so later copies are
-    absorbed.
+    absorbed.  :meth:`arrive` is the last hop's completion callback.
     """
 
-    __slots__ = ("env", "on_delivered", "triggered")
+    __slots__ = ("fabric", "on_delivered", "triggered")
 
     def __init__(
-        self, env: Environment, on_delivered: Callable[[Message], None]
+        self, fabric: "Fabric", on_delivered: Callable[[Message], None]
     ) -> None:
-        self.env = env
+        self.fabric = fabric
         self.on_delivered = on_delivered
         self.triggered = False
 
+    def arrive(self, message: Message) -> None:
+        """A copy of the message left its last link: deliver it."""
+        self.fabric._deliver(message, self)
+
     def succeed(self, message: Message) -> None:
         self.triggered = True
-        self.env.defer(self.on_delivered, message)
+        self.fabric.env.defer(self.on_delivered, message)
 
 
 #: Default aggregate intra-node bandwidth (PCIe-class, no NVLink,
@@ -230,9 +236,6 @@ class Fabric:
         the delivery instant.  A dropped message never calls
         ``on_delivered``.
         """
-        self._submit(message, _Sink(self.env, on_delivered))
-
-    def _submit(self, message: Message, delivered: _Sink) -> None:
         nics = self.nics
         canonical = self._canonical
         if message.src not in nics and message.src not in canonical:
@@ -241,7 +244,7 @@ class Fabric:
             raise KeyError(f"unknown destination node {message.dst!r}")
         if self.guard is not None and message.checksum is None:
             self.guard.stamp(message)
-        self._launch(message, delivered)
+        self._launch(message, _Sink(self, on_delivered))
 
     def _launch(self, message: Message, delivered: _Sink) -> None:
         """Put one copy of ``message`` on the wire toward ``delivered``
@@ -260,11 +263,7 @@ class Fabric:
             # Same machine (possibly two tenants' aliases of it): the
             # transfer never touches the NIC, only the loopback.
             checksum_at_switch = message.checksum
-
-            def _after_loopback(msg: Message) -> None:
-                self._deliver(msg, delivered)
-
-            self._loopbacks[src].transmit(message, callback=_after_loopback)
+            self._loopbacks[src].transmit(message, callback=delivered.arrive)
             if self.dup_pending and message.uid in self.dup_pending:
                 self._duplicate(
                     message, delivered, local=True, checksum=checksum_at_switch
@@ -279,8 +278,7 @@ class Fabric:
 
         ``src``/``dst`` are canonical machine names.  Subclasses with a
         multi-level topology (racks, spine) override this to insert the
-        extra hops.  Both hops ride the links' batched completion
-        wake-ups.
+        extra hops.
         """
         downlink = self.nics[dst].downlink
 
@@ -301,15 +299,12 @@ class Fabric:
             downlink.transmit_cut_through(
                 msg,
                 available_at=self.env._now + self.hop_latency,
-                callback=_deliver_hop,
+                callback=delivered.arrive,
             )
             if self.dup_pending and msg.uid in self.dup_pending:
                 self._duplicate(
                     msg, delivered, local=False, checksum=checksum_at_switch
                 )
-
-        def _deliver_hop(msg: Message) -> None:
-            self._deliver(msg, delivered)
 
         self.nics[src].uplink.transmit(message, callback=_after_uplink)
 
@@ -349,18 +344,15 @@ class Fabric:
             # The switch duplicated an already-damaged frame: a second
             # corrupted copy is now on the wire.
             self.guard.stats.corrupt_injected += 1
-        def _deliver_copy(msg: Message) -> None:
-            self._deliver(msg, delivered)
-
         if local:
             self._loopbacks[self.canonical(message.src)].transmit(
-                copy, callback=_deliver_copy
+                copy, callback=delivered.arrive
             )
         else:
             self.nics[self.canonical(message.dst)].downlink.transmit_cut_through(
                 copy,
                 available_at=self.env.now + self.hop_latency,
-                callback=_deliver_copy,
+                callback=delivered.arrive,
             )
 
     def _deliver(self, message: Message, delivered: _Sink) -> None:

@@ -14,25 +14,20 @@ into the fault-window helpers.  ``Transport.wire_time`` is always
 called, because :class:`~repro.net.transport.FaultyTransport` draws
 its loss and delay fates there.
 
-Completion is reported by calling back, and completions are
-**batched**: completion times on a serial link never decrease, so the
-link keeps its own completion FIFO of ``(end, callback, message)``
-tuples and each wake-up drains *every* completion due at that instant.
-Each frame still arms its own wake-up, at enqueue, deliberately: one
-kernel entry serving many frames occupies a *different same-instant
-tie-break position* (its sequence number is the head's, not each
-frame's), which was measured to shift simulated iteration times by
-whole transfer slots.  Per-frame wake-ups keep every completion at the
-tie-break position of its own enqueue; wake-ups for already-drained
-frames find nothing due and fall through.  A wake-up is armed for the
-frame's ``end`` itself (:meth:`~repro.sim.Environment.defer_at`), never
-for ``now`` plus a delay: ``now + (end - now)`` can round one ulp below
-``end``, and a wake-up that early finds its frame not yet due.
+Completion is reported by calling back, and each frame's completion
+is its own kernel entry: :meth:`~repro.sim.Environment.defer_at` at
+the frame's ``end``, armed at enqueue, so every completion keeps the
+same-instant tie-break position of its own enqueue.  One entry serving
+many frames was measured to shift simulated iteration times by whole
+transfer slots, because its sequence number is the head frame's, not
+each frame's.  The entry is armed for ``end`` itself, never for
+``now`` plus a delay: ``now + (end - now)`` can round one ulp below
+``end``.  Frames with bit-equal ends (which needs a zero wire time)
+complete in enqueue order, the order of their sequence numbers.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Callable, Optional, Sequence, Tuple
 
 from repro.sim import Environment, Trace
@@ -63,11 +58,6 @@ class Link:
         self.transport = transport
         self.trace = trace
         self._busy_until = env.now
-        #: Batched completions: ``(end, callback, message)`` in FIFO
-        #: order.  Every enqueue sets ``busy_until = end`` and the next
-        #: end is at least ``busy_until``, so ends never decrease and
-        #: :meth:`_drain` pops strictly from the front.
-        self._fifo: deque = deque()
         #: Degradation windows imposed by a fault plan: sorted, disjoint
         #: (start, end, rate_factor) triples; empty = healthy.
         self._fault_windows: Tuple[Tuple[float, float, float], ...] = _NO_WINDOWS
@@ -127,26 +117,6 @@ class Link:
         end = degraded_finish(start, service, windows)
         return end, end - start - blackout_time(start, end, windows)
 
-    @property
-    def head_end(self) -> Optional[float]:
-        """Completion time of the oldest frame awaiting its wake-up on
-        the batched path, or None when none is queued."""
-        return self._fifo[0][0] if self._fifo else None
-
-    def _drain(self, _arg: None) -> None:
-        """A completion wake-up: pop and complete every frame due now.
-
-        Equal-end frames coalesce into the earliest wake-up; the later
-        frames' own wake-ups then find nothing due and fall through.
-        A completion callback may enqueue more frames on this link —
-        those land behind the cursor with ``end`` in the future (or due
-        now, in which case the loop drains them too)."""
-        fifo = self._fifo
-        now = self.env._now
-        while fifo and fifo[0][0] <= now:
-            _end, callback, message = fifo.popleft()
-            callback(message)
-
     def transmit(
         self, message: Message, callback: Callable[[Message], None]
     ) -> None:
@@ -182,11 +152,10 @@ class Link:
             )
         if extra > 0.0:
             # A reorder fate may legitimately complete after later
-            # messages, so it cannot ride the in-order FIFO.
+            # messages.
             env.defer(callback, message, end - now + extra)
         else:
-            self._fifo.append((end, callback, message))
-            env.defer_at(self._drain, None, end)
+            env.defer_at(callback, message, end)
 
     def transmit_cut_through(
         self,
@@ -244,12 +213,8 @@ class Link:
             env.defer(callback, message, max(0.0, end - now) + extra)
         else:
             # A past ``end`` (available_at already elapsed on an idle
-            # link) means every earlier completion has drained, so
-            # clamping to now keeps the FIFO ends non-decreasing.
-            if end < now:
-                end = now
-            self._fifo.append((end, callback, message))
-            env.defer_at(self._drain, None, end)
+            # link) completes now: every earlier frame already has.
+            env.defer_at(callback, message, end if end > now else now)
 
     def reset_counters(self) -> None:
         """Zero the byte/message/busy counters (e.g. after warm-up)."""

@@ -182,11 +182,8 @@ class HierarchicalFabric(Fabric):
             downlink.transmit_cut_through(
                 msg,
                 available_at=self.env._now + self.hop_latency,
-                callback=_deliver_hop,
+                callback=delivered.arrive,
             )
-
-        def _deliver_hop(msg: Message) -> None:
-            self._deliver(msg, delivered)
 
         uplink.transmit(message, callback=_after_nic_up)
 

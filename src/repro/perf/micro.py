@@ -7,9 +7,9 @@ their time in:
 
 * ``event_throughput`` — the discrete-event kernel alone: callback
   chains re-arming timeouts, no network, no scheduler.
-* ``link_burst`` — back-to-back frames through one FIFO ``Link`` on
-  its batched completion path (the per-hop cost every fabric transfer
-  pays).
+* ``link_burst`` — back-to-back frames through one FIFO ``Link``, each
+  completing in its own kernel entry (the per-hop cost every fabric
+  transfer pays).
 * ``scheduler_queue`` — ByteSchedulerCore enqueue → schedule → credit
   return against a loopback backend, no training job around it.
 * ``end_to_end`` — one complete ``run_experiment`` (the unit every
@@ -92,12 +92,12 @@ def bench_event_throughput(
 def bench_link_burst(
     messages: int = 2000, rounds: int = 10
 ) -> Dict[str, Any]:
-    """Frames/second through one FIFO link's batched completion path.
+    """Frames/second through one FIFO link.
 
     Each round fires a burst of back-to-back frames at an idle link —
     the path every fabric hop rides — and runs the kernel until the
-    burst drains.  Measures enqueue + batched
-    wake-up + completion dispatch, with no Event allocated per frame.
+    burst drains.  Measures enqueue + the per-frame completion entry,
+    with no Event allocated per frame.
     """
     from repro.net.link import Link
     from repro.net.message import Message

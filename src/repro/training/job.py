@@ -610,22 +610,14 @@ class TrainingJob:
             self.oracle.verify(self)
 
     def _deadlocked(self, what: str) -> ConfigError:
-        """The error for a run that stopped short: ``what`` failed, and
-        every link still holding a frame is named with its head's
-        completion time, next to the clock; a PS backend also names the
-        chunks still aggregating and whose pushes or pulls they lack."""
-        links = self.fabric.links() if self.fabric is not None else []
-        links.extend(getattr(self.backend, "update_pipes", {}).values())
-        stuck = [
-            f"{link.name} (head end {link.head_end!r})"
-            for link in links
-            if link.head_end is not None
-        ]
-        where = "; links with queued frames: " + ", ".join(stuck) if stuck else ""
+        """The error for a run that stopped short: ``what`` failed, next
+        to the clock; a PS backend also names the chunks still
+        aggregating and whose pushes or pulls they lack.  (No link can
+        strand a frame: each frame's completion is its own kernel
+        entry.)"""
         describe = getattr(self.backend, "describe_pending", None)
         chunks = describe() if describe is not None else ""
-        if chunks:
-            where += "; " + chunks
+        where = "; " + chunks if chunks else ""
         return ConfigError(
             f"{what} — the op graph deadlocked at t={self.env.now!r}{where}"
         )

@@ -1,7 +1,7 @@
-"""Batched link completions.
+"""Link completions.
 
-``transmit(..., callback=...)`` rides the link's completion FIFO and a
-bare deferred wake-up.  The link used to offer a second path, one
+``transmit(..., callback=...)`` completes each frame in its own bare
+deferred kernel entry.  The link used to offer a second path, one
 ``Timeout`` event per message when no callback was given, and the
 contract was that callbacks fire at exactly the same simulated times,
 in exactly the same order and with the same number of kernel entries
@@ -133,21 +133,24 @@ def test_callback_completions_replay_the_pinned_event_log():
 
 
 def test_equal_end_completions_coalesce_in_fifo_order():
-    # Two zero-size messages complete at the same instant; the first
-    # wake-up drains both, in enqueue order.
+    # Two zero-size messages complete at the same instant, each in its
+    # own kernel entry, in enqueue order.
     env = Environment()
     link = make_link(env)
     order = []
-    link.transmit(Message("a", "b", 0.0), callback=lambda m: order.append("first"))
-    link.transmit(Message("a", "b", 0.0), callback=lambda m: order.append("second"))
+    link.transmit(
+        Message("a", "b", 0.0), callback=lambda m: order.append(("first", env.now))
+    )
+    link.transmit(
+        Message("a", "b", 0.0), callback=lambda m: order.append(("second", env.now))
+    )
     env.run()
-    assert order == ["first", "second"]
-    assert not link._fifo
+    assert order == [("first", 0.0), ("second", 0.0)]
 
 
 def test_callback_may_enqueue_more_traffic():
-    # A completion callback that transmits again must not corrupt the
-    # FIFO: the new frame lands behind the drain cursor.
+    # A completion callback that transmits again: the new frame
+    # queues behind the one that just left.
     env = Environment()
     link = make_link(env)
     hops = []
@@ -219,5 +222,5 @@ def test_every_frame_completes_exactly_at_its_end(bandwidth, frames):
         env.defer(issue, index, at)
     env.run()
     ends = {dict(span.meta)["message"]: span.end for span in trace.spans}
+    assert len(ends) == len(frames)
     assert completed == ends
-    assert link.head_end is None

@@ -426,3 +426,42 @@ def test_reproduce_rejects_cache_dir_on_a_file(capsys, tmp_path, monkeypatch, be
     assert code == 2
     assert "invalid --cache-dir" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("run", "--trace-out"),
+        ("run", "--span-log"),
+        ("run", "--metrics-out"),
+        ("run", "--report-out"),
+        ("reproduce", "--out"),
+        ("reproduce", "--json-out"),
+    ],
+)
+@pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
+def test_output_paths_are_checked_before_any_work(
+    capsys, tmp_path, monkeypatch, command, flag, where
+):
+    import dataclasses
+
+    from repro.experiments.report import TARGETS
+    from repro.training import TrainingJob
+
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("work ran before the output path was checked")
+
+    monkeypatch.setattr(TrainingJob, "run", no_work)
+    monkeypatch.setitem(TARGETS, "figure2", dataclasses.replace(TARGETS["figure2"], run=no_work))
+    path = tmp_path / "absent" / "out.json" if where == "missing-dir" else tmp_path
+    argv = (
+        ["run", "--model", "resnet50", "--machines", "2", "--measure", "1"]
+        if command == "run"
+        else ["reproduce", "figure2", "--fast"]
+    )
+    code = main([*argv, flag, str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"invalid {flag}: ")
+    assert captured.out == ""
+    assert not (tmp_path / "absent").exists()

@@ -187,6 +187,27 @@ def test_trace_collects_link_spans():
     assert result.speed > 0
 
 
+def _log_link_completions(job):
+    """Wrap every link's callbacks: ``(link, uid) -> clock`` at completion."""
+    completed = {}
+    links = job.fabric.links() + list(job.backend.update_pipes.values())
+    for link in links:
+
+        def logged(name, inner, link=link):
+            def transmit(message, *args, callback, **kwargs):
+                def record(msg):
+                    completed[link.name, job.trace.intern(msg.uid)] = job.env.now
+                    callback(msg)
+
+                inner(message, *args, callback=record, **kwargs)
+
+            setattr(link, name, transmit)
+
+        logged("transmit", link.transmit)
+        logged("transmit_cut_through", link.transmit_cut_through)
+    return completed
+
+
 def test_link_wakeup_lands_exactly_on_a_drifting_end():
     # Here each worker's layer-0 push ends at t = 0.8074932065608466 on
     # its uplink, and ``now + (end - now)`` rounds one ulp below that.
@@ -198,29 +219,19 @@ def test_link_wakeup_lands_exactly_on_a_drifting_end():
             machines=4, bandwidth_gbps=3.0, transport="tcp", arch="ps", framework="mxnet"
         ),
         SchedulerSpec(kind="fifo"),
+        enable_trace=True,
     )
+    completed = _log_link_completions(job)
     result = job.run(measure=3, warmup=1)
     assert all(len(times) == 4 for times in job.markers.values())
     assert result.speed == pytest.approx(7538.902332041783, rel=1e-12)
-    assert all(link.head_end is None for link in job.fabric.links())
-
-
-def test_deadlock_error_names_the_stuck_link():
-    job = TrainingJob(
-        comm_bound_model(),
-        ClusterSpec(machines=2, transport="tcp", arch="ps", framework="mxnet"),
-        SchedulerSpec(kind="fifo"),
-    )
-    # A link whose completion wake-ups do nothing strands its frames.
-    stuck = job.fabric.nics["w0"].uplink
-    stuck._drain = lambda _arg: None
-    with pytest.raises(ConfigError) as raised:
-        job.run(measure=1, warmup=1)
-    message = str(raised.value)
-    assert f"deadlocked at t={job.env.now!r}" in message
-    assert f"w0.up (head end {stuck.head_end!r})" in message
-    assert stuck.head_end is not None
-    assert "w1.up" not in message
+    # Every frame completed, with the clock exactly at its span's end.
+    ends = {
+        (span.name, dict(span.meta)["message"]): span.end
+        for span in job.trace.spans
+        if span.category == "link"
+    }
+    assert completed == ends
 
 
 def test_deadlock_error_names_the_stuck_ps_chunks():
