@@ -1,7 +1,7 @@
 """Gradient synchronisation backends: parameter server and ring all-reduce."""
 
 from repro.comm.allreduce import RingAllReduceBackend
-from repro.comm.base import ChunkHandle, ChunkSpec, CommBackend, RetryPolicy
+from repro.comm.base import ChunkSpec, CommBackend, RetryPolicy
 from repro.comm.phases import DecoupledAllReduceBackend
 from repro.comm.ps import PSBackend
 from repro.comm.sharding import (
@@ -15,7 +15,6 @@ from repro.comm.sharding import (
 
 __all__ = [
     "ChunkSpec",
-    "ChunkHandle",
     "CommBackend",
     "RetryPolicy",
     "PSBackend",

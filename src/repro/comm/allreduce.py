@@ -26,12 +26,12 @@ bit-identical for every existing scheduler.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Set, Tuple
 
 from repro.errors import ConfigError
 from repro.net.transport import IntegrityStats, Transport
 from repro.sim import Environment, Trace
-from repro.comm.base import ChunkHandle, ChunkSpec, CommBackend, RetryPolicy
+from repro.comm.base import ChunkSpec, CommBackend, Milestone, RetryPolicy, complete_chunk
 from repro.units import GB, MS, US
 
 __all__ = ["RingAllReduceBackend"]
@@ -358,7 +358,7 @@ class RingAllReduceBackend(CommBackend):
         retransmits; dup is absorbed; reorder inflates the sync), waste
         the seeded loss attempts, stretch through the fault plan's
         degradation windows, then advance the pipe cursor and return
-        the completion :class:`~repro.sim.Event`.  ``span_category``
+        the delay from now until the op completes.  ``span_category``
         names the trace span ("allreduce", "reduce_scatter",
         "all_gather"); ``fault_label`` labels the fault spans/points.
         """
@@ -434,9 +434,11 @@ class RingAllReduceBackend(CommBackend):
             )
         # A collective is "sent" when it completes: the credit window
         # bounds how many operations sit in NCCL's execution queue.
-        return self.env.timeout(end - self.env.now, value=chunk)
+        return end - self.env.now
 
-    def start_chunk(self, chunk: ChunkSpec) -> ChunkHandle:
+    def start_chunk(
+        self, chunk: ChunkSpec, on_sent: Milestone, on_done: Milestone, token: Any
+    ) -> None:
         if chunk.worker is not None:
             raise ConfigError(
                 "all-reduce chunks are collective; start them without a worker"
@@ -446,20 +448,19 @@ class RingAllReduceBackend(CommBackend):
             # the ring already finished): every rank holds the reduced
             # tensor, so only the synchronisation handshake runs —
             # re-reducing would apply the sum twice.
-            done = self.env.timeout(self.base_sync, value=chunk)
-            return ChunkHandle(sent=done, done=done)
+            op = (None, chunk, on_sent, on_done, token)
+            self.env.defer(complete_chunk, op, self.base_sync)
+            return
         self.collectives_run += 1
         self.bytes_reduced += chunk.size
-        completion = self._execute_pipe_op(
+        delay = self._execute_pipe_op(
             chunk,
             self.collective_time(chunk.size),
             "allreduce",
             f"allreduce:iter{chunk.iteration}.layer{chunk.layer}",
         )
-        completion.callbacks.append(
-            lambda _evt, c=chunk: self._record_complete(c)
-        )
-        return ChunkHandle(sent=completion, done=completion)
+        op = (self._record_complete, chunk, on_sent, on_done, token)
+        self.env.defer(complete_chunk, op, delay)
 
     def bytes_per_iteration(self, total_model_bytes: float) -> float:
         ranks = self.ring_size

@@ -1,11 +1,16 @@
 """Communication backend interface.
 
 A backend knows how to move one *chunk* (a partition of one layer's
-tensor) through the cluster and reports delivery with an event.  The
-scheduler above decides *when* and in *what order* chunks are handed
-over; the backend below is strictly FIFO, mirroring the paper's split
-between the Core (ordering) and the framework's communication stack
-(transmission).
+tensor) through the cluster and reports its two milestones by calling
+back, the way the paper's plugin reports through ``notify_finish``
+(§3.2).  The scheduler above decides *when* and in *what order* chunks
+are handed over; the backend below is strictly FIFO, mirroring the
+paper's split between the Core (ordering) and the framework's
+communication stack (transmission).
+
+A milestone that completes an activity of its own (a delivery, a
+timer) runs in a kernel entry of its own; one that coincides with the
+entry already running (PS with a zero-delay ack) is called in place.
 
 Two backend families exist:
 
@@ -21,11 +26,12 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Any, Callable, Optional, Tuple
 
-from repro.sim import Event
+__all__ = ["ChunkSpec", "CommBackend", "RetryPolicy"]
 
-__all__ = ["ChunkSpec", "ChunkHandle", "CommBackend", "RetryPolicy"]
+#: A chunk milestone callback, called with the token its caller passed.
+Milestone = Callable[[Any], None]
 
 
 @dataclass(frozen=True)
@@ -129,29 +135,6 @@ class ChunkSpec:
         )
 
 
-class ChunkHandle:
-    """The two milestones of a chunk the scheduler cares about.
-
-    ``sent`` — the chunk has left the sender (PS: the push cleared the
-    worker's uplink; all-reduce: the collective completed).  This is
-    when *sender credit* returns (§4.2 defines credit as "filling the
-    sending buffer").
-
-    ``done`` — the synchronised data is available at the calling worker
-    (PS: its pull was delivered; all-reduce: same as ``sent``).  This is
-    what ``notify_finish`` reports and what forward proxies wait for.
-    """
-
-    __slots__ = ("sent", "done")
-
-    def __init__(self, sent: Event, done: Event) -> None:
-        self.sent = sent
-        self.done = done
-
-    def __repr__(self) -> str:
-        return f"ChunkHandle(sent={self.sent!r}, done={self.done!r})"
-
-
 class CommBackend(abc.ABC):
     """Executes chunk transfers over the simulated cluster."""
 
@@ -164,12 +147,18 @@ class CommBackend(abc.ABC):
         """Names of the worker nodes this backend serves."""
 
     @abc.abstractmethod
-    def start_chunk(self, chunk: ChunkSpec) -> ChunkHandle:
+    def start_chunk(
+        self, chunk: ChunkSpec, on_sent: Milestone, on_done: Milestone, token: Any
+    ) -> None:
         """Hand ``chunk`` to the FIFO communication stack.
 
-        Returns a :class:`ChunkHandle` with the ``sent`` (credit-return)
-        and ``done`` (data-available) events.  Chunks handed over are
-        *not preemptible* — that is the whole point.
+        Calls ``on_sent(token)`` once the chunk has left the sender (PS:
+        the push was delivered and acknowledged; all-reduce: the
+        collective completed), when *sender credit* returns (§4.2), and
+        ``on_done(token)`` once the synchronised data is available at
+        the caller (PS: its pull was delivered), which ``notify_finish``
+        reports.  Each at most once, never inside this call.  Chunks
+        handed over are *not preemptible* — that is the whole point.
         """
 
     def chunk_targets(self, chunk: ChunkSpec) -> Optional[str]:
@@ -186,3 +175,14 @@ class CommBackend(abc.ABC):
         """Bytes a single worker NIC moves per direction per iteration
         (used by experiments for sanity accounting)."""
         return float(total_model_bytes)
+
+
+def complete_chunk(op: tuple) -> None:
+    """A chunk's completion entry, ``op = (record, chunk, on_sent,
+    on_done, token)``: the backend's ledger ``record(chunk)`` first
+    (skipped when None), then ``on_sent(token)``, then ``on_done(token)``."""
+    record, chunk, on_sent, on_done, token = op
+    if record is not None:
+        record(chunk)
+    on_sent(token)
+    on_done(token)

@@ -10,8 +10,9 @@ before the *next* iteration's forward pass consumes the layer.
 
 :class:`DecoupledAllReduceBackend` makes each phase a first-class
 schedulable operation on the same single FIFO pipe the monolithic
-backend uses: each phase has its own chunk chain (``start_reduce_scatter``
-/ ``start_all_gather`` handles), its own completion ledger
+backend uses: each phase has its own entry point (``start_reduce_scatter``
+/ ``start_all_gather``, with ``start_chunk``'s milestone callbacks),
+its own completion ledger
 (``rs_completed_keys`` vs ``completed_keys``), its own trace spans
 (``reduce_scatter`` / ``all_gather`` categories, so ``repro trace``
 shows the cross-iteration overlap), and the full fault treatment of the
@@ -28,11 +29,11 @@ bit-identical to runs on the base class.  Only a phase-aware core
 
 from __future__ import annotations
 
-from typing import Set, Tuple
+from typing import Any, Set, Tuple
 
 from repro.errors import ConfigError
 from repro.comm.allreduce import RingAllReduceBackend
-from repro.comm.base import ChunkHandle, ChunkSpec
+from repro.comm.base import ChunkSpec, Milestone, complete_chunk
 
 __all__ = ["DecoupledAllReduceBackend"]
 
@@ -69,32 +70,40 @@ class DecoupledAllReduceBackend(RingAllReduceBackend):
                 "all-reduce phases are collective; start them without a worker"
             )
 
-    def start_reduce_scatter(self, chunk: ChunkSpec) -> ChunkHandle:
-        """Run the reduce-scatter phase of ``chunk`` on the pipe."""
+    def _record_reduce_scattered(self, chunk: ChunkSpec) -> None:
+        self.rs_completed_keys.add(chunk.key)
+
+    def start_reduce_scatter(
+        self, chunk: ChunkSpec, on_sent: Milestone, on_done: Milestone, token: Any
+    ) -> None:
+        """Run the reduce-scatter phase of ``chunk`` on the pipe; the
+        milestones are :meth:`start_chunk`'s."""
         self._check_collective(chunk)
         if chunk.key in self.completed_keys or chunk.key in self.rs_completed_keys:
             # Replayed phase (recovered master re-driving work the ring
             # already reduced): only half the handshake runs.
-            done = self.env.timeout(0.5 * self.base_sync, value=chunk)
-            return ChunkHandle(sent=done, done=done)
+            op = (None, chunk, on_sent, on_done, token)
+            self.env.defer(complete_chunk, op, 0.5 * self.base_sync)
+            return
         self.reduce_scatters_run += 1
         self.collectives_run += 1
         self.bytes_reduced += chunk.size
         if self._obs is not None and "reduce_scatters" in self._obs:
             self._obs["reduce_scatters"].inc()
-        completion = self._execute_pipe_op(
+        delay = self._execute_pipe_op(
             chunk,
             self.reduce_scatter_time(chunk.size),
             "reduce_scatter",
             f"reduce_scatter:iter{chunk.iteration}.layer{chunk.layer}",
         )
-        completion.callbacks.append(
-            lambda _evt, c=chunk: self.rs_completed_keys.add(c.key)
-        )
-        return ChunkHandle(sent=completion, done=completion)
+        op = (self._record_reduce_scattered, chunk, on_sent, on_done, token)
+        self.env.defer(complete_chunk, op, delay)
 
-    def start_all_gather(self, chunk: ChunkSpec) -> ChunkHandle:
-        """Run the all-gather phase of ``chunk`` on the pipe.
+    def start_all_gather(
+        self, chunk: ChunkSpec, on_sent: Milestone, on_done: Milestone, token: Any
+    ) -> None:
+        """Run the all-gather phase of ``chunk`` on the pipe; the
+        milestones are :meth:`start_chunk`'s.
 
         Protocol: the tensor's reduce-scatter must have completed first
         (an all-gather redistributes *reduced* shards; gathering
@@ -102,8 +111,9 @@ class DecoupledAllReduceBackend(RingAllReduceBackend):
         """
         self._check_collective(chunk)
         if chunk.key in self.completed_keys:
-            done = self.env.timeout(0.5 * self.base_sync, value=chunk)
-            return ChunkHandle(sent=done, done=done)
+            op = (None, chunk, on_sent, on_done, token)
+            self.env.defer(complete_chunk, op, 0.5 * self.base_sync)
+            return
         if chunk.key not in self.rs_completed_keys:
             raise ConfigError(
                 f"all-gather before reduce-scatter for {chunk.key}; "
@@ -113,7 +123,7 @@ class DecoupledAllReduceBackend(RingAllReduceBackend):
         self.collectives_run += 1
         if self._obs is not None and "all_gathers" in self._obs:
             self._obs["all_gathers"].inc()
-        completion = self._execute_pipe_op(
+        delay = self._execute_pipe_op(
             chunk,
             self.all_gather_time(chunk.size),
             "all_gather",
@@ -123,10 +133,8 @@ class DecoupledAllReduceBackend(RingAllReduceBackend):
         # completion ledger (and with it sync_digest and the chaos
         # oracle's on_complete hook) fires here, exactly once per key —
         # same keys as a monolithic run of the same schedule.
-        completion.callbacks.append(
-            lambda _evt, c=chunk: self._record_complete(c)
-        )
-        return ChunkHandle(sent=completion, done=completion)
+        op = (self._record_complete, chunk, on_sent, on_done, token)
+        self.env.defer(complete_chunk, op, delay)
 
     def __repr__(self) -> str:
         return (

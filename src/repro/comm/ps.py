@@ -8,7 +8,7 @@ One chunk's life (synchronous training, the paper's measured mode):
    optimizer update (a FIFO update pipe models the server CPU).
 3. The server sends the fresh parameter chunk back to every worker
    (server uplink FIFO → worker downlink FIFO).
-4. The worker-side event fires when *that worker's* pull is delivered.
+4. The worker hears ``done`` when *that worker's* pull is delivered.
 
 This reproduces the two PS effects the paper leans on: duplex
 push/pull pipelining across chunks (§2.2 "partitioning ... improves
@@ -19,22 +19,23 @@ In asynchronous mode, step 2's barrier disappears: a worker's pull is
 answered right after its own push (the paper notes async speedups are
 similar, §6.1).
 
-The same life, in the callbacks that drive it.  Only the two
-milestones a :class:`~repro.comm.base.ChunkHandle` exposes are events;
-every hop in between is a plain callback:
+The same life, in the callbacks that drive it.  Every hop is a plain
+callback, and so are the caller's two milestones, ``on_sent(token)``
+and ``on_done(token)`` (:meth:`~repro.comm.base.CommBackend.start_chunk`):
 
-* :meth:`PSBackend.start_chunk` hands the push to :meth:`_transfer`
-  with ``_pushed`` as its delivery callback
-  (:meth:`~repro.net.Fabric.send`).
+* :meth:`PSBackend.start_chunk` files ``(on_done, token)`` as the
+  worker's waiter and hands the push to :meth:`_transfer` with
+  ``_pushed`` as its delivery callback (:meth:`~repro.net.Fabric.send`).
 * ``_pushed`` runs in the push's delivery entry.  It records the
   arrival (:meth:`_on_push_delivered`), then returns sender credit:
-  ``env.defer(sent.succeed, chunk, ack_delay)``, the server's
-  acknowledgement; with a zero ack delay it runs ``sent``'s callbacks
-  in place, in the same entry.
+  the server's acknowledgement is an entry ``ack_delay`` later that
+  issues ``env.defer(on_sent, token)``; with a zero ack delay it calls
+  ``on_sent(token)`` in place, in the same entry.
 * Once the barrier passes, the update pipe's completion calls
-  ``_send_pulls`` (a callback on the link, no event), which sends each
-  pull with ``_on_pull_delivered`` as its delivery callback.
-* ``_on_pull_delivered`` succeeds the worker's ``done`` event.
+  ``_send_pulls`` (a callback on the link), which sends each pull with
+  ``_on_pull_delivered`` as its delivery callback.
+* ``_on_pull_delivered`` pops the worker's waiter and issues
+  ``env.defer(on_done, token)``.
 
 With metrics on, each of the three delivery callbacks (``_pushed``,
 ``_on_replay_delivered``, ``_on_pull_delivered``) first observes its
@@ -54,12 +55,12 @@ entry count for that reason.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.errors import ConfigError, TransferAbortedError
 from repro.net import Fabric, Link, Message, Transport
-from repro.sim import Environment, Event
-from repro.comm.base import ChunkHandle, ChunkSpec, CommBackend, RetryPolicy
+from repro.sim import Environment
+from repro.comm.base import ChunkSpec, CommBackend, Milestone, RetryPolicy
 from repro.comm.sharding import ChunkRoundRobin, ShardingStrategy
 from repro.units import GB, US
 
@@ -91,7 +92,7 @@ class _ChunkState:
         self.spec = spec
         self.arrived: Set[str] = set()
         self.pulled: Set[str] = set()
-        self.waiters: Dict[str, Event] = {}
+        self.waiters: Dict[str, Tuple[Milestone, Any]] = {}
         self.members = members
         self.updated = False
 
@@ -214,12 +215,13 @@ class PSBackend(CommBackend):
         """The remote node this chunk's completion depends on."""
         return self.server_for(chunk)
 
-    def start_chunk(self, chunk: ChunkSpec) -> ChunkHandle:
+    def start_chunk(
+        self, chunk: ChunkSpec, on_sent: Milestone, on_done: Milestone, token: Any
+    ) -> None:
         worker = chunk.worker
         if worker not in self._workers:
             raise ConfigError(f"unknown worker {worker!r} for chunk {chunk}")
         env = self.env
-        done = Event(env)
         server = self.server_for(chunk)
         key = chunk.key
         # A recovered worker replaying a chunk the fleet already
@@ -236,7 +238,7 @@ class PSBackend(CommBackend):
             if worker in state.waiters:
                 raise ConfigError(f"chunk {key} started twice by {worker}")
             state.members.add(worker)
-            state.waiters[worker] = done
+            state.waiters[worker] = (on_done, token)
 
         # Sender credit is held until the push is delivered AND the
         # server's acknowledgement returns (that is what ends a send in
@@ -244,7 +246,6 @@ class PSBackend(CommBackend):
         # stop-and-wait, idling the uplink for the remote half of each
         # round trip — P3's inefficiency (§6.2).  A zero-delay ack
         # returns credit inside the push's own delivery entry.
-        sent = Event(env)
         ack_delay = self.ack_delay
         handed = env._now
 
@@ -253,22 +254,26 @@ class PSBackend(CommBackend):
                 self._obs.latency.observe(env._now - handed)
             if replay:
                 pull = Message(server, worker, chunk.size, kind="pull", payload=chunk)
+                waiter = [(on_done, token)]
                 self._transfer(
                     pull,
-                    lambda _msg, t=env._now: self._on_replay_delivered(chunk, done, t),
+                    lambda _msg, t=env._now: self._on_replay_delivered(waiter, t),
                 )
             else:
                 self._on_push_delivered(chunk, server)
             if ack_delay > 0:
-                env.defer(sent.succeed, chunk, ack_delay)
+                env.defer(self._ack, (on_sent, token), ack_delay)
             else:
-                sent.succeed_inline(msg)
+                on_sent(token)
 
         push = Message(worker, server, chunk.size, kind="push", payload=chunk)
         self._transfer(push, _pushed)
-        return ChunkHandle(sent, done)
 
     # -- internal ----------------------------------------------------------
+
+    def _ack(self, milestone: Tuple[Milestone, Any]) -> None:
+        """The server's acknowledgement: ``on_sent`` gets its own entry."""
+        self.env.defer(*milestone)
 
     def _transfer(
         self, message: Message, on_delivered: Callable[[Message], None]
@@ -452,12 +457,12 @@ class PSBackend(CommBackend):
             _send_pulls()
 
     def _on_replay_delivered(
-        self, chunk: ChunkSpec, done: Event, handed: float
+        self, waiter: List[Tuple[Milestone, Any]], handed: float
     ) -> None:
         if self._obs is not None:
             self._obs.latency.observe(self.env._now - handed)
-        if not done.triggered:
-            done.succeed(chunk)
+        if waiter:  # once only: the list holds the milestone until it fires
+            self.env.defer(*waiter.pop())
 
     def _on_pull_delivered(
         self, chunk: ChunkSpec, worker: str, handed: float
@@ -469,8 +474,8 @@ class PSBackend(CommBackend):
             return
         state.pulled.add(worker)
         waiter = state.waiters.pop(worker, None)
-        if waiter is not None and not waiter.triggered:
-            waiter.succeed(chunk)
+        if waiter is not None:
+            self.env.defer(*waiter)
         self._maybe_complete(state)
 
     def _maybe_complete(self, state: _ChunkState) -> None:

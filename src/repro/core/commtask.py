@@ -10,9 +10,9 @@ paper's interface:
   "tensor" is a byte count, so partitioning is arithmetic).
 * ``notify_ready()`` — the engine (via a Dependency Proxy) reports the
   tensor has been produced; the Core may now schedule it.
-* ``SubCommTask.start()`` — hand one partition to the communication
-  stack (the Core calls this; it invokes the backend).
-* ``notify_finish`` — delivery reported back to the Core, which returns
+* ``SubCommTask.start(on_sent, on_done, token)`` — hand one partition
+  to the communication stack (the Core calls this; it invokes the backend).
+* ``notify_finish`` — the backend's ``on_done`` call; the Core returns
   credit and, when the last partition lands, fires ``task.finished``
   (what the next iteration's forward proxies wait on).
 """
@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import List, Optional, TYPE_CHECKING
+from typing import Any, List, Optional, TYPE_CHECKING
 
 from repro.errors import SchedulerError
 from repro.sim import Event
-from repro.comm.base import ChunkSpec
+from repro.comm.base import ChunkSpec, Milestone
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.scheduler import ByteSchedulerCore
@@ -74,14 +74,15 @@ class SubCommTask:
             worker=self.parent.worker,
         )
 
-    def start(self) -> Event:
-        """Hand this partition to the FIFO communication stack."""
+    def start(self, on_sent: Milestone, on_done: Milestone, token: Any) -> None:
+        """Hand this partition to the FIFO communication stack
+        (:meth:`~repro.comm.base.CommBackend.start_chunk`)."""
         if self.state is not TaskState.READY:
             raise SchedulerError(
                 f"{self!r} started in state {self.state.value}, expected ready"
             )
         self.state = TaskState.STARTED
-        return self.parent.core.backend.start_chunk(self.chunk())
+        self.parent.core.backend.start_chunk(self.chunk(), on_sent, on_done, token)
 
     def __repr__(self) -> str:
         return (

@@ -171,19 +171,17 @@ class DeARCore(ByteSchedulerCore):
         # The all-gather drains by the batch's most urgent (lowest)
         # layer — the first one the next forward pass will block on.
         gate_layer = min(subtask.parent.layer for subtask in batch)
-        handle = self.backend.start_reduce_scatter(chunk)
-        handle.done.callbacks.append(
-            lambda _evt, g=gate_layer, c=chunk, b=tuple(batch): (
-                self._on_reduce_scatter_done(g, c, b)
-            )
+        self.backend.start_reduce_scatter(
+            chunk,
+            self._unheard,
+            self._on_reduce_scatter_done,
+            (gate_layer, chunk, tuple(batch)),
         )
 
     def _on_reduce_scatter_done(
-        self,
-        gate_layer: float,
-        chunk: ChunkSpec,
-        batch: Tuple[SubCommTask, ...],
+        self, op: Tuple[float, ChunkSpec, Tuple[SubCommTask, ...]]
     ) -> None:
+        gate_layer, chunk, batch = op
         self._ops_inflight -= 1
         self._ag_seq += 1
         heapq.heappush(self._ag_heap, (gate_layer, self._ag_seq, chunk, batch))
@@ -196,9 +194,8 @@ class DeARCore(ByteSchedulerCore):
         _gate, _seq, chunk, batch = heapq.heappop(self._ag_heap)
         self.all_gathers_launched += 1
         self._ops_inflight += 1
-        handle = self.backend.start_all_gather(chunk)
-        handle.done.callbacks.append(
-            lambda _evt, b=batch: self._on_all_gather_done(b)
+        self.backend.start_all_gather(
+            chunk, self._unheard, self._on_all_gather_done, batch
         )
 
     def _on_all_gather_done(self, batch: Tuple[SubCommTask, ...]) -> None:

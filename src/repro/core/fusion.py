@@ -106,10 +106,7 @@ class FusionCore(ByteSchedulerCore):
             size=size,
             worker=None,
         )
-        handle = self.backend.start_chunk(chunk)
-        handle.done.callbacks.append(
-            lambda _evt, fused=tuple(batch): self._finish_fused(fused)
-        )
+        self.backend.start_chunk(chunk, self._unheard, self._finish_fused, tuple(batch))
 
     def _finish_fused(self, batch) -> None:
         for subtask in batch:

@@ -372,20 +372,22 @@ class ByteSchedulerCore:
         self._inflight += 1
         self.bytes_started += subtask.size
         self.subtasks_started += 1
-        handle = subtask.start()
-        delay = self.notify_delay
-        if delay > 0:
-            # The framework/stack reports each milestone ``delay`` late.
-            defer = self.env.defer
-            handle.sent.callbacks.append(
-                lambda _evt: defer(self._on_sent, flight, delay)
-            )
-            handle.done.callbacks.append(
-                lambda _evt: defer(self._finish, flight, delay)
-            )
+        if self.notify_delay > 0:
+            subtask.start(self._sent_late, self._finish_late, flight)
         else:
-            handle.sent.callbacks.append(lambda _evt: self._on_sent(flight))
-            handle.done.callbacks.append(lambda _evt: self._finish(flight))
+            subtask.start(self._on_sent, self._finish, flight)
+
+    def _sent_late(self, flight: _Flight) -> None:
+        """The framework/stack reports ``sent`` ``notify_delay`` late."""
+        self.env.defer(self._on_sent, flight, self.notify_delay)
+
+    def _finish_late(self, flight: _Flight) -> None:
+        """The framework/stack reports ``done`` ``notify_delay`` late."""
+        self.env.defer(self._finish, flight, self.notify_delay)
+
+    @staticmethod
+    def _unheard(_token) -> None:
+        """A milestone this core does not listen to."""
 
     def _on_sent(self, flight: _Flight) -> None:
         """The sender buffer is free again: return credit (§4.2)."""

@@ -361,9 +361,13 @@ class DriftFault:
                 )
             if self.level2:
                 raise ConfigError("background takes a single x<load>")
-        if self.steps > MAX_DRIFT_STEPS:
+        try:
+            steps = self.steps
+        except OverflowError:  # span / period is inf: a subnormal period
+            steps = math.inf
+        if steps > MAX_DRIFT_STEPS:
             raise ConfigError(
-                f"drift clause would sample {self.steps} steps "
+                f"drift clause would sample {steps} steps "
                 f"(cap {MAX_DRIFT_STEPS}); widen ~<period> or shrink "
                 "the window"
             )
@@ -621,9 +625,10 @@ class FaultPlan:
 
         Inverse of :meth:`parse` for every grammar-expressible plan:
         ``FaultPlan.parse(plan.to_spec()) == plan``, every number in its
-        shortest exact text.  (Fields the grammar cannot express — a
-        non-default ``max_losses``, a custom retransmit penalty with
-        zero loss — are not emitted.)
+        shortest exact text.  (A non-default ``max_losses``, which the
+        grammar cannot express, is not emitted; a zero-probability
+        ``loss``/``delay`` clause is, when its seconds differ from the
+        default, so that they survive the trip.)
         """
         return ";".join(
             clause
@@ -907,13 +912,14 @@ _FAMILIES: Tuple[_Family, ...] = (
     _Family(
         "transport", ("loss",), _read_loss,
         lambda t, num: [f"loss:{num(t.loss_probability)}@{num(t.retransmit_penalty)}"]
-        if t.loss_probability else [],
+        if t.loss_probability or t.retransmit_penalty != TransportFault.retransmit_penalty
+        else [],
         lambda t: [f"loss p={t.loss_probability:g}"] if t.loss_probability else [],
     ),
     _Family(
         "transport", ("delay",), _read_delay,
         lambda t, num: [f"delay:{num(t.delay_probability)}@{num(t.delay)}"]
-        if t.delay_probability else [],
+        if t.delay_probability or t.delay else [],
         lambda t: [f"delay p={t.delay_probability:g} +{t.delay:g}s"]
         if t.delay_probability else [],
     ),

@@ -10,8 +10,11 @@ link with the local transport model.
 :meth:`Fabric.send` is the one entry point.  It reports only the
 delivery, by calling back, which is all the layers above need: the
 Core hears that a transfer finished through one signal.  Each hop is
-a link frame whose completion is its own kernel entry; the last hop's
-completion calls the transfer's :class:`_Sink` (``arrive``) directly.
+a link frame whose completion is its own kernel entry, and each calls
+a bound method of the transfer's :class:`_Sink`: the uplink calls
+``after_uplink``, which cuts the message through to the destination
+downlink; the last hop calls ``arrive``, the delivery point.  No
+closure is built per message.
 """
 
 from __future__ import annotations
@@ -36,28 +39,74 @@ class _Sink:
     """The one-shot delivery target of :meth:`Fabric.send`.
 
     Every copy of a message (retransmits and injected duplicates too)
-    carries the same sink, and the first copy to arrive wins:
-    ``succeed`` defers ``on_delivered(message)`` into its own kernel
-    entry and marks the sink ``triggered``, so later copies are
-    absorbed.  :meth:`arrive` is the last hop's completion callback.
+    carries the same sink, and so the same destination ``downlink``
+    (set by :meth:`Fabric._launch_remote`; None for a loopback
+    transfer).  The first copy to arrive wins: :meth:`arrive` defers
+    ``on_delivered(message)`` into its own kernel entry and marks the
+    sink ``triggered``, so later copies are absorbed.
     """
 
-    __slots__ = ("fabric", "on_delivered", "triggered")
+    __slots__ = ("fabric", "on_delivered", "downlink", "triggered")
 
     def __init__(
         self, fabric: "Fabric", on_delivered: Callable[[Message], None]
     ) -> None:
         self.fabric = fabric
         self.on_delivered = on_delivered
+        self.downlink: Optional[Link] = None
         self.triggered = False
 
-    def arrive(self, message: Message) -> None:
-        """A copy of the message left its last link: deliver it."""
-        self.fabric._deliver(message, self)
+    def after_uplink(self, message: Message) -> None:
+        """A copy left the source uplink: cut it through the switch to
+        the destination downlink."""
+        fabric = self.fabric
+        is_up = fabric._is_up
+        if is_up is not None and not (is_up(message.src) and is_up(message.dst)):
+            # The sender died mid-serialisation or the receiver is
+            # already gone: the bytes never make it off the wire.
+            fabric._drop(message, "wire")
+            return
+        # The switch cuts the message through: bytes streamed into the
+        # destination while the uplink serialised them, so an idle
+        # downlink delivers just one hop latency later.  The checksum
+        # is captured here — a duplicate is forged from the frame as
+        # the switch received it, before the original's own downlink
+        # hop can corrupt it.
+        checksum_at_switch = message.checksum
+        self.downlink.transmit_cut_through(
+            message,
+            available_at=fabric.env._now + fabric.hop_latency,
+            callback=self.arrive,
+        )
+        if fabric.dup_pending and message.uid in fabric.dup_pending:
+            fabric._duplicate(
+                message, self, local=False, checksum=checksum_at_switch
+            )
 
-    def succeed(self, message: Message) -> None:
-        self.triggered = True
-        self.fabric.env.defer(self.on_delivered, message)
+    def arrive(self, message: Message) -> None:
+        """A copy left its last link: the delivery point.  Liveness,
+        then the guard's verdict, then the first copy wins."""
+        fabric = self.fabric
+        is_up = fabric._is_up
+        if is_up is not None and not is_up(message.dst):
+            fabric._drop(message, "dst")
+            return
+        guard = fabric.guard
+        if guard is not None:
+            verdict = guard.admit(message)
+            if verdict != "ok":
+                trace = fabric.trace
+                label = f"{message.kind}:{message.src}->{message.dst}"
+                if trace is not None:
+                    trace.point(f"integrity.{verdict}", label)
+                if verdict == "corrupt" and guard.should_retransmit(message):
+                    if trace is not None:
+                        trace.point("integrity.retransmit", label)
+                    fabric._launch(message.clone_for_retransmit(), self)
+                return
+        if not self.triggered:
+            self.triggered = True
+            fabric.env.defer(self.on_delivered, message)
 
 
 #: Default aggregate intra-node bandwidth (PCIe-class, no NVLink,
@@ -280,33 +329,8 @@ class Fabric:
         multi-level topology (racks, spine) override this to insert the
         extra hops.
         """
-        downlink = self.nics[dst].downlink
-
-        def _after_uplink(msg: Message) -> None:
-            is_up = self._is_up
-            if is_up is not None and not (is_up(msg.src) and is_up(msg.dst)):
-                # The sender died mid-serialisation or the receiver is
-                # already gone: the bytes never make it off the wire.
-                self._drop(msg, "wire")
-                return
-            # The switch cuts the message through: bytes streamed into
-            # the destination while the uplink serialised them, so an
-            # idle downlink delivers just one hop latency later.  The
-            # checksum is captured here — a duplicate is forged from the
-            # frame as the switch received it, before the original's own
-            # downlink hop can corrupt it.
-            checksum_at_switch = msg.checksum
-            downlink.transmit_cut_through(
-                msg,
-                available_at=self.env._now + self.hop_latency,
-                callback=delivered.arrive,
-            )
-            if self.dup_pending and msg.uid in self.dup_pending:
-                self._duplicate(
-                    msg, delivered, local=False, checksum=checksum_at_switch
-                )
-
-        self.nics[src].uplink.transmit(message, callback=_after_uplink)
+        delivered.downlink = self.nics[dst].downlink
+        self.nics[src].uplink.transmit(message, callback=delivered.after_uplink)
 
     def _duplicate(
         self,
@@ -354,46 +378,6 @@ class Fabric:
                 available_at=self.env.now + self.hop_latency,
                 callback=delivered.arrive,
             )
-
-    def _deliver(self, message: Message, delivered: _Sink) -> None:
-        """The delivery point: liveness, then the guard's verdict."""
-        is_up = self._is_up
-        if is_up is not None and not is_up(message.dst):
-            self._drop(message, "dst")
-            return
-        guard = self.guard
-        if guard is not None:
-            verdict = guard.admit(message)
-            if verdict == "corrupt":
-                if self.trace is not None:
-                    self.trace.point(
-                        "integrity.corrupt",
-                        f"{message.kind}:{message.src}->{message.dst}",
-                    )
-                if guard.should_retransmit(message):
-                    if self.trace is not None:
-                        self.trace.point(
-                            "integrity.retransmit",
-                            f"{message.kind}:{message.src}->{message.dst}",
-                        )
-                    self._launch(message.clone_for_retransmit(), delivered)
-                return
-            if verdict == "stale":
-                if self.trace is not None:
-                    self.trace.point(
-                        "integrity.stale",
-                        f"{message.kind}:{message.src}->{message.dst}",
-                    )
-                return
-            if verdict == "dup":
-                if self.trace is not None:
-                    self.trace.point(
-                        "integrity.dup",
-                        f"{message.kind}:{message.src}->{message.dst}",
-                    )
-                return
-        if not delivered.triggered:
-            delivered.succeed(message)
 
     def links(self) -> List[Link]:
         """Every link of the fabric: NIC up- and downlinks, loopbacks."""

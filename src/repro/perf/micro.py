@@ -33,8 +33,8 @@ from __future__ import annotations
 import time
 from typing import Any, Dict, Optional
 
-from repro.sim import Environment, Event
-from repro.comm.base import ChunkHandle, ChunkSpec, CommBackend
+from repro.sim import Environment
+from repro.comm.base import ChunkSpec, CommBackend, complete_chunk
 
 __all__ = [
     "bench_event_throughput",
@@ -193,9 +193,9 @@ class _LoopbackBackend(CommBackend):
     def chunk_targets(self, chunk: ChunkSpec) -> Optional[str]:
         return None
 
-    def start_chunk(self, chunk: ChunkSpec) -> ChunkHandle:
-        done: Event = self.env.timeout(self.latency, value=chunk)
-        return ChunkHandle(sent=done, done=done)
+    def start_chunk(self, chunk: ChunkSpec, on_sent, on_done, token) -> None:
+        op = (None, chunk, on_sent, on_done, token)
+        self.env.defer(complete_chunk, op, self.latency)
 
 
 def bench_scheduler_queue(

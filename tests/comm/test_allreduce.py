@@ -6,6 +6,7 @@ from repro.comm import ChunkSpec, RingAllReduceBackend
 from repro.errors import ConfigError
 from repro.net import RDMATransport, Transport
 from repro.sim import Environment
+from tests.comm.milestones import Milestones
 
 
 def make_backend(env, machines=4, gpus=1, bandwidth=100.0, base_sync=0.0, per_rank=0.0):
@@ -56,28 +57,31 @@ def test_single_rank_costs_only_base_sync():
 def test_collectives_serialize_fifo():
     env = Environment()
     backend = make_backend(env, machines=4, bandwidth=100.0)
-    first = backend.start_chunk(collective(size=100.0, layer=5)).done
-    second = backend.start_chunk(collective(size=100.0, layer=0, iteration=1)).done
-    finish = {}
-    first.callbacks.append(lambda evt: finish.setdefault("first", env.now))
-    second.callbacks.append(lambda evt: finish.setdefault("second", env.now))
+    milestones = Milestones(env)
+    milestones.start(backend.start_chunk, collective(size=100.0, layer=5), "first")
+    milestones.start(
+        backend.start_chunk, collective(size=100.0, layer=0, iteration=1), "second"
+    )
     env.run()
-    assert finish["first"] == pytest.approx(1.5)
-    assert finish["second"] == pytest.approx(3.0)
+    assert milestones.times("done", "first") == [pytest.approx(1.5)]
+    assert milestones.times("done", "second") == [pytest.approx(3.0)]
 
 
 def test_per_worker_chunk_rejected():
     env = Environment()
     backend = make_backend(env)
     with pytest.raises(ConfigError):
-        backend.start_chunk(ChunkSpec(0, 0, 0, 1, 1.0, worker="m0"))
+        Milestones(env).start(
+            backend.start_chunk, ChunkSpec(0, 0, 0, 1, 1.0, worker="m0")
+        )
 
 
 def test_counters_accumulate():
     env = Environment()
     backend = make_backend(env)
-    backend.start_chunk(collective(size=10.0))
-    backend.start_chunk(collective(size=30.0, layer=1))
+    milestones = Milestones(env)
+    milestones.start(backend.start_chunk, collective(size=10.0))
+    milestones.start(backend.start_chunk, collective(size=30.0, layer=1))
     env.run()
     assert backend.collectives_run == 2
     assert backend.bytes_reduced == 40.0
@@ -122,3 +126,30 @@ def test_rdma_defaults_sane():
     backend = RingAllReduceBackend(env, 2, 8, 100.0, RDMATransport())
     assert backend.sync_overhead() > 0
     assert backend.collective_time(1e6) > 0
+
+
+def test_each_milestone_fires_exactly_once():
+    """A collective completes in one kernel entry: the completion
+    ledger first, then ``sent``, then ``done``, each once.  A replay
+    (the key already reduced) runs only the handshake and leaves the
+    ledger alone."""
+    env = Environment()
+    backend = make_backend(env, machines=4, bandwidth=100.0, base_sync=0.25)
+    chunk = collective(size=100.0)
+    log = []
+    backend.on_complete = lambda key: log.append(("ledger", key, env.now))
+    sent = lambda token: log.append(("sent", token, env.now))
+    done = lambda token: log.append(("done", token, env.now))
+    backend.start_chunk(chunk, sent, done, "first")
+    env.run()
+    finished = env.now
+    backend.start_chunk(chunk, sent, done, "replay")
+    env.run()
+    assert log == [
+        ("ledger", chunk.key, finished),
+        ("sent", "first", finished),
+        ("done", "first", finished),
+        ("sent", "replay", pytest.approx(finished + 0.25)),
+        ("done", "replay", pytest.approx(finished + 0.25)),
+    ]
+    assert backend.collectives_run == 1

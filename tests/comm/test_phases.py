@@ -14,6 +14,7 @@ from repro.comm import ChunkSpec, DecoupledAllReduceBackend, RingAllReduceBacken
 from repro.errors import ConfigError
 from repro.net import Transport
 from repro.sim import Environment
+from tests.comm.milestones import Milestones
 
 
 def make_backend(env, machines=4, gpus=1, bandwidth=100.0, base_sync=0.0,
@@ -32,6 +33,18 @@ def make_backend(env, machines=4, gpus=1, bandwidth=100.0, base_sync=0.0,
 
 def collective(size=100.0, layer=0, iteration=0):
     return ChunkSpec(iteration, layer, 0, 1, size, worker=None)
+
+
+def reduce_scatter(backend, chunk, token=None):
+    milestones = Milestones(backend.env)
+    milestones.start(backend.start_reduce_scatter, chunk, token)
+    return milestones
+
+
+def all_gather(backend, chunk, token=None):
+    milestones = Milestones(backend.env)
+    milestones.start(backend.start_all_gather, chunk, token)
+    return milestones
 
 
 # -- deterministic unit tests -----------------------------------------------
@@ -55,42 +68,39 @@ def test_phases_sum_to_monolithic_collective():
 def test_phases_share_the_fifo_pipe():
     env = Environment()
     backend = make_backend(env, machines=4, bandwidth=100.0)
-    finish = {}
-    rs = backend.start_reduce_scatter(collective(size=100.0)).done
-    rs.callbacks.append(lambda _evt: finish.setdefault("rs", env.now))
+    rs = reduce_scatter(backend, collective(size=100.0), "rs")
     env.run()
-    ag = backend.start_all_gather(collective(size=100.0)).done
-    ag.callbacks.append(lambda _evt: finish.setdefault("ag", env.now))
+    ag = all_gather(backend, collective(size=100.0), "ag")
     env.run()
-    assert finish["rs"] == pytest.approx(0.75)
-    assert finish["ag"] == pytest.approx(1.5)
+    assert rs.times("done", "rs") == [pytest.approx(0.75)]
+    assert ag.times("done", "ag") == [pytest.approx(1.5)]
 
 
 def test_all_gather_before_reduce_scatter_rejected():
     env = Environment()
     backend = make_backend(env)
     with pytest.raises(ConfigError):
-        backend.start_all_gather(collective())
+        all_gather(backend, collective())
 
 
 def test_per_worker_phase_rejected():
     env = Environment()
     backend = make_backend(env)
     with pytest.raises(ConfigError):
-        backend.start_reduce_scatter(ChunkSpec(0, 0, 0, 1, 1.0, worker="m0"))
+        reduce_scatter(backend, ChunkSpec(0, 0, 0, 1, 1.0, worker="m0"))
     with pytest.raises(ConfigError):
-        backend.start_all_gather(ChunkSpec(0, 0, 0, 1, 1.0, worker="m0"))
+        all_gather(backend, ChunkSpec(0, 0, 0, 1, 1.0, worker="m0"))
 
 
 def test_completion_ledger_updates_only_at_all_gather():
     env = Environment()
     backend = make_backend(env)
     chunk = collective(size=10.0)
-    backend.start_reduce_scatter(chunk)
+    reduce_scatter(backend, chunk)
     env.run()
     assert chunk.key in backend.rs_completed_keys
     assert chunk.key not in backend.completed_keys
-    backend.start_all_gather(chunk)
+    all_gather(backend, chunk)
     env.run()
     assert chunk.key in backend.completed_keys
 
@@ -99,22 +109,20 @@ def test_replayed_phases_short_circuit():
     env = Environment()
     backend = make_backend(env, base_sync=0.4)
     chunk = collective(size=10.0)
-    backend.start_reduce_scatter(chunk)
+    reduce_scatter(backend, chunk)
     env.run()
     # Re-driving the reduce-scatter (recovered-master replay) costs only
     # half a handshake and does not recount the collective.
     runs_before = backend.reduce_scatters_run
     start = env.now
-    replay = backend.start_reduce_scatter(chunk).done
-    finish = {}
-    replay.callbacks.append(lambda _evt: finish.setdefault("t", env.now))
+    replay = reduce_scatter(backend, chunk, "replay")
     env.run()
     assert backend.reduce_scatters_run == runs_before
-    assert finish["t"] - start == pytest.approx(0.2)
-    backend.start_all_gather(chunk)
+    assert replay.times("done", "replay") == [pytest.approx(start + 0.2)]
+    all_gather(backend, chunk)
     env.run()
     runs_before = backend.all_gathers_run
-    backend.start_all_gather(chunk)
+    all_gather(backend, chunk)
     env.run()
     assert backend.all_gathers_run == runs_before
 
@@ -128,9 +136,9 @@ def test_phase_trace_spans_distinguish_the_phases():
         env, 2, 1, 100.0, Transport("t", 0.0, 1.0), trace=trace
     )
     chunk = collective(size=10.0)
-    backend.start_reduce_scatter(chunk)
+    reduce_scatter(backend, chunk)
     env.run()
-    backend.start_all_gather(chunk)
+    all_gather(backend, chunk)
     env.run()
     categories = [span.category for span in trace.spans]
     assert "reduce_scatter" in categories
@@ -141,11 +149,10 @@ def test_phase_trace_spans_distinguish_the_phases():
 def test_monolithic_path_untouched():
     env = Environment()
     backend = make_backend(env, machines=4, bandwidth=100.0)
-    finish = {}
-    done = backend.start_chunk(collective(size=100.0)).done
-    done.callbacks.append(lambda _evt: finish.setdefault("t", env.now))
+    milestones = Milestones(env)
+    milestones.start(backend.start_chunk, collective(size=100.0), "t")
     env.run()
-    assert finish["t"] == pytest.approx(1.5)
+    assert milestones.times("done", "t") == [pytest.approx(1.5)]
     assert backend.collectives_run == 1
     assert backend.reduce_scatters_run == 0
 
@@ -154,9 +161,9 @@ def test_bytes_reduced_counted_once_per_tensor():
     env = Environment()
     backend = make_backend(env)
     chunk = collective(size=40.0)
-    backend.start_reduce_scatter(chunk)
+    reduce_scatter(backend, chunk)
     env.run()
-    backend.start_all_gather(chunk)
+    all_gather(backend, chunk)
     env.run()
     assert backend.bytes_reduced == 40.0
     assert backend.collectives_run == 2  # two pipe ops...
@@ -203,17 +210,19 @@ def test_decoupled_run_matches_monolithic_run(ring, sizes):
     mono_env = Environment()
     mono = make_backend(mono_env, machines=machines, gpus=gpus, base_sync=0.001)
     for layer, size in enumerate(sizes):
-        mono.start_chunk(collective(size=size, layer=layer))
+        Milestones(mono_env).start(
+            mono.start_chunk, collective(size=size, layer=layer)
+        )
     mono_env.run()
 
     split_env = Environment()
     split = make_backend(split_env, machines=machines, gpus=gpus, base_sync=0.001)
     chunks = [collective(size=size, layer=layer) for layer, size in enumerate(sizes)]
     for chunk in chunks:
-        split.start_reduce_scatter(chunk)
+        reduce_scatter(split, chunk)
     split_env.run()
     for chunk in chunks:
-        split.start_all_gather(chunk)
+        all_gather(split, chunk)
     split_env.run()
 
     assert split.bytes_reduced == pytest.approx(mono.bytes_reduced)
@@ -236,13 +245,51 @@ def test_interleaved_phases_preserve_total_pipe_time(ring, sizes):
     # Interleave: RS each tensor, then immediately AG the previous one.
     previous = None
     for chunk in chunks:
-        backend.start_reduce_scatter(chunk)
+        reduce_scatter(backend, chunk)
         env.run()
         if previous is not None:
-            backend.start_all_gather(previous)
+            all_gather(backend, previous)
         previous = chunk
-    backend.start_all_gather(previous)
+    all_gather(backend, previous)
     env.run()
     expected = sum(backend.collective_time(size) for size in sizes)
     assert env.now == pytest.approx(expected, rel=1e-9)
     assert backend.completed_keys == {chunk.key for chunk in chunks}
+
+
+def test_each_milestone_fires_exactly_once():
+    """Each phase op completes in one kernel entry: its ledger first,
+    then ``sent``, then ``done``, each once; a replayed phase runs half
+    the handshake and leaves the ledgers alone."""
+    env = Environment()
+    backend = make_backend(env, machines=4, bandwidth=100.0, base_sync=0.4)
+    chunk = collective(size=100.0)
+    log = []
+
+    def sent(token):
+        ledgers = (
+            chunk.key in backend.rs_completed_keys,
+            chunk.key in backend.completed_keys,
+        )
+        log.append(("sent", token, env.now, ledgers))
+
+    def done(token):
+        log.append(("done", token, env.now))
+
+    for start, token in (
+        (backend.start_reduce_scatter, "rs"),
+        (backend.start_reduce_scatter, "rs-replay"),
+        (backend.start_all_gather, "ag"),
+        (backend.start_all_gather, "ag-replay"),
+    ):
+        started = env.now
+        start(chunk, sent, done, token)
+        env.run()
+        assert env.now > started
+        assert log[-2:] == [
+            ("sent", token, env.now, (True, token.startswith("ag"))),
+            ("done", token, env.now),
+        ]
+    assert len(log) == 8
+    assert backend.reduce_scatters_run == 1
+    assert backend.all_gathers_run == 1

@@ -6,6 +6,7 @@ from repro.comm import ChunkSpec, LayerRoundRobin, PSBackend
 from repro.errors import ConfigError
 from repro.net import Fabric, Transport
 from repro.sim import Environment
+from tests.comm.milestones import Milestones
 
 
 def make_ps(
@@ -42,22 +43,24 @@ def chunk(iteration=0, layer=0, index=0, num=1, size=100.0, worker="w0"):
     return ChunkSpec(iteration, layer, index, num, size, worker)
 
 
-def run_until_done(env, events):
-    """Run ``env``; return the time the last of ``events`` fired."""
-    times = []
-    for event in events:
-        event.callbacks.append(lambda _evt: times.append(env.now))
+def run_until_done(env, milestones, tokens):
+    """Run ``env``; return the time the last of ``tokens`` was done
+    (each exactly once)."""
     env.run()
-    assert len(times) == len(events)
-    return times[-1]
+    times = [milestones.times("done", token) for token in tokens]
+    assert all(len(each) == 1 for each in times)
+    return max(each[0] for each in times)
 
 
 def test_sync_chunk_completes_after_all_pushes_and_pull():
     env = Environment()
     backend, _fabric = make_ps(env, bandwidth=100.0)
-    done_0 = backend.start_chunk(chunk(worker="w0")).done
-    done_1 = backend.start_chunk(chunk(worker="w1")).done
-    elapsed = run_until_done(env, [done_0, done_1])
+    milestones = Milestones(env)
+    tokens = [
+        milestones.start(backend.start_chunk, chunk(worker="w0")),
+        milestones.start(backend.start_chunk, chunk(worker="w1")),
+    ]
+    elapsed = run_until_done(env, milestones, tokens)
     # Pushes: uplinks parallel (1s); the server downlink cut-throughs
     # the first and serializes the second -> aggregated at t=2.  Pulls:
     # server uplink serializes 2x1s; each cut-throughs to its worker ->
@@ -68,26 +71,26 @@ def test_sync_chunk_completes_after_all_pushes_and_pull():
 def test_sync_waits_for_slowest_worker():
     env = Environment()
     backend, _fabric = make_ps(env, bandwidth=100.0)
-    done_0 = backend.start_chunk(chunk(worker="w0")).done
-    times = {}
-    done_0.callbacks.append(lambda evt: times.setdefault("w0", env.now))
-
-    def late_starter(_arg):
-        done_1 = backend.start_chunk(chunk(worker="w1")).done
-        done_1.callbacks.append(lambda evt: times.setdefault("w1", env.now))
-
-    env.defer(late_starter, None, 10.0)
+    milestones = Milestones(env)
+    milestones.start(backend.start_chunk, chunk(worker="w0"), "w0")
+    env.defer(
+        lambda _arg: milestones.start(backend.start_chunk, chunk(worker="w1"), "w1"),
+        None,
+        10.0,
+    )
     env.run()
     # w0's pull can only happen after w1's push arrives at t=11.
-    assert times["w0"] >= 11.0
-    assert "w1" in times
+    (w0_done,) = milestones.times("done", "w0")
+    assert w0_done >= 11.0
+    assert len(milestones.times("done", "w1")) == 1
 
 
 def test_async_worker_not_blocked_by_peer():
     env = Environment()
     backend, _fabric = make_ps(env, bandwidth=100.0, synchronous=False)
-    done_0 = backend.start_chunk(chunk(worker="w0")).done
-    elapsed = run_until_done(env, [done_0])
+    milestones = Milestones(env)
+    token = milestones.start(backend.start_chunk, chunk(worker="w0"))
+    elapsed = run_until_done(env, milestones, [token])
     # Push (1s, cut-through) + pull (1s); w1 never pushed.
     assert elapsed == pytest.approx(2.0, abs=1e-2)
 
@@ -105,8 +108,9 @@ def test_update_pipe_adds_latency():
     backend, _fabric = make_ps(
         env, workers=("w0",), bandwidth=100.0, update_rate=100.0
     )
-    done = backend.start_chunk(chunk(worker="w0", size=100.0)).done
-    elapsed = run_until_done(env, [done])
+    milestones = Milestones(env)
+    token = milestones.start(backend.start_chunk, chunk(worker="w0", size=100.0))
+    elapsed = run_until_done(env, milestones, [token])
     # 1s push + 1s update (100B at 100B/s, +10us overhead) + 1s pull.
     assert elapsed == pytest.approx(3.0, rel=1e-2)
 
@@ -114,26 +118,28 @@ def test_update_pipe_adds_latency():
 def test_duplicate_start_same_worker_rejected():
     env = Environment()
     backend, _fabric = make_ps(env)
-    backend.start_chunk(chunk(worker="w0"))
+    milestones = Milestones(env)
+    milestones.start(backend.start_chunk, chunk(worker="w0"))
     with pytest.raises(ConfigError):
-        backend.start_chunk(chunk(worker="w0"))
+        milestones.start(backend.start_chunk, chunk(worker="w0"))
 
 
 def test_unknown_worker_rejected():
     env = Environment()
     backend, _fabric = make_ps(env)
     with pytest.raises(ConfigError):
-        backend.start_chunk(chunk(worker="w9"))
+        Milestones(env).start(backend.start_chunk, chunk(worker="w9"))
 
 
 def test_state_cleaned_up_after_completion():
     env = Environment()
     backend, _fabric = make_ps(env)
-    events = [
-        backend.start_chunk(chunk(worker="w0")).done,
-        backend.start_chunk(chunk(worker="w1")).done,
+    milestones = Milestones(env)
+    tokens = [
+        milestones.start(backend.start_chunk, chunk(worker="w0")),
+        milestones.start(backend.start_chunk, chunk(worker="w1")),
     ]
-    run_until_done(env, events)
+    run_until_done(env, milestones, tokens)
     assert backend._pending == {}
 
 
@@ -175,12 +181,44 @@ def test_duplex_pipelining_two_chunks_faster_than_double():
     one_chunk_env = Environment()
     one_backend, _f = make_ps(one_chunk_env, workers=("w0",), bandwidth=100.0)
 
-    single = one_backend.start_chunk(chunk(size=200.0, worker="w0")).done
-    t_single = run_until_done(one_chunk_env, [single])
+    one = Milestones(one_chunk_env)
+    single = one.start(one_backend.start_chunk, chunk(size=200.0, worker="w0"))
+    t_single = run_until_done(one_chunk_env, one, [single])
 
+    two = Milestones(env)
     halves = [
-        backend.start_chunk(chunk(index=0, num=2, size=100.0, worker="w0")).done,
-        backend.start_chunk(chunk(index=1, num=2, size=100.0, worker="w0")).done,
+        two.start(backend.start_chunk, chunk(index=0, num=2, size=100.0, worker="w0")),
+        two.start(backend.start_chunk, chunk(index=1, num=2, size=100.0, worker="w0")),
     ]
-    t_halves = run_until_done(env, halves)
+    t_halves = run_until_done(env, two, halves)
     assert t_halves < t_single
+
+
+@pytest.mark.parametrize("ack_delay", [0.0, 0.5])
+def test_each_milestone_fires_exactly_once(ack_delay):
+    """Every start hears ``sent`` once and ``done`` once: on the
+    aggregation path, and on the replay path (a worker re-starting a
+    chunk the fleet already finished is answered from the shard)."""
+    env = Environment()
+    backend, _fabric = make_ps(env, bandwidth=100.0)
+    backend.ack_delay = ack_delay
+    milestones = Milestones(env)
+    first = [
+        milestones.start(backend.start_chunk, chunk(worker=worker), worker)
+        for worker in ("w0", "w1")
+    ]
+    env.run()
+    assert chunk().key in backend.completed_keys
+    replay = milestones.start(backend.start_chunk, chunk(worker="w0"), "replay")
+    env.run()
+    for token in first + [replay]:
+        assert len(milestones.times("sent", token)) == 1
+        assert len(milestones.times("done", token)) == 1
+    assert len(milestones.calls) == 6
+    # The replay's push takes 1 s and its pull from the shard 1 s more;
+    # its credit returns ``ack_delay`` after the push lands.
+    (replay_sent,) = milestones.times("sent", replay)
+    (replay_done,) = milestones.times("done", replay)
+    (first_done,) = milestones.times("done", "w1")
+    assert replay_sent - first_done == pytest.approx(1.0 + ack_delay, abs=1e-2)
+    assert replay_done - first_done == pytest.approx(2.0, abs=1e-2)

@@ -5,6 +5,7 @@ import pytest
 from repro.comm import ChunkSpec, PSBackend
 from repro.net import Fabric, Transport
 from repro.sim import Environment
+from tests.comm.milestones import Milestones
 
 
 def make_async_ps(env, workers=("w0", "w1", "w2")):
@@ -31,12 +32,23 @@ def chunk(worker, index=0, num=1):
     return ChunkSpec(0, 0, index, num, 100.0, worker)
 
 
+def start_all(env, backend, workers=("w0", "w1", "w2")):
+    milestones = Milestones(env)
+    for worker in workers:
+        milestones.start(backend.start_chunk, chunk(worker), worker)
+    return milestones
+
+
+def all_done(milestones, workers=("w0", "w1", "w2")):
+    return all(len(milestones.times("done", worker)) == 1 for worker in workers)
+
+
 def test_async_update_runs_once_per_chunk():
     env = Environment()
     backend, fabric = make_async_ps(env)
-    handles = [backend.start_chunk(chunk(worker)) for worker in ("w0", "w1", "w2")]
+    milestones = start_all(env, backend)
     env.run()
-    assert all(handle.done.processed for handle in handles)
+    assert all_done(milestones)
     # One update despite three pushes: later arrivals reuse it.
     update_pipe = backend.update_pipes["s0"]
     assert update_pipe.messages_sent == 1
@@ -45,9 +57,9 @@ def test_async_update_runs_once_per_chunk():
 def test_async_each_worker_gets_its_own_pull():
     env = Environment()
     backend, fabric = make_async_ps(env)
-    handles = [backend.start_chunk(chunk(worker)) for worker in ("w0", "w1", "w2")]
+    milestones = start_all(env, backend)
     env.run()
-    assert all(handle.done.processed for handle in handles)
+    assert all_done(milestones)
     for worker in ("w0", "w1", "w2"):
         assert fabric.nic(worker).downlink.bytes_sent == pytest.approx(100.0)
 
@@ -55,18 +67,18 @@ def test_async_each_worker_gets_its_own_pull():
 def test_async_state_cleaned_after_all_workers_finish():
     env = Environment()
     backend, _fabric = make_async_ps(env)
-    handles = [backend.start_chunk(chunk(worker)) for worker in ("w0", "w1", "w2")]
+    milestones = start_all(env, backend)
     env.run()
-    assert all(handle.done.processed for handle in handles)
+    assert all_done(milestones)
     assert backend._pending == {}
 
 
-def test_sent_event_fires_before_done():
+def test_sent_fires_before_done():
     env = Environment()
     backend, _fabric = make_async_ps(env, workers=("w0",))
-    handle = backend.start_chunk(chunk("w0"))
-    times = {}
-    handle.sent.callbacks.append(lambda _e: times.setdefault("sent", env.now))
-    handle.done.callbacks.append(lambda _e: times.setdefault("done", env.now))
+    milestones = start_all(env, backend, workers=("w0",))
     env.run()
-    assert times["sent"] <= times["done"]
+    assert [kind for kind, _token, _now in milestones.calls] == ["sent", "done"]
+    (sent,) = milestones.times("sent", "w0")
+    (done,) = milestones.times("done", "w0")
+    assert sent <= done

@@ -1,18 +1,21 @@
 """Trajectory pins for the parameter-server chunk path.
 
 Each case runs a small seeded job (jitter 0.02, 2 + 2 iterations) and
-pins two things (one all-reduce case rides along, for the fusion
-core's cycle timer): a sha256 over worker-0's iteration markers, the
+pins two things: a sha256 over worker-0's iteration markers, the
 backend's sync digest and ``repr`` of the speed (the same material as
 the end-to-end benchmark's fingerprint), and ``env._eid``, the number
-of sequence numbers the kernel handed out.
+of sequence numbers the kernel handed out.  The ``allreduce-*`` cases
+pin the collective paths (the fusion core's cycle timer, the
+ByteScheduler and DeAR cores, the replay branch, a ring re-form).
 
 The fingerprint catches any change to simulated time or same-instant
 order.  The count catches a change to how many kernel entries the run
 issued, which the fingerprint can miss: merging two same-instant
 entries into one shifts every later sequence number, yet the
-trajectory may stay the same.  The values were recorded on the
-event-relay PS path and must not be re-recorded to make a change pass.
+trajectory may stay the same.  The PS values were recorded on the
+event-relay PS path, the collective and ``notify-delay`` values on the
+path whose chunk milestones were events; none may be re-recorded to
+make a change pass.
 
 The declarative engine has since dropped one entry per op: the
 completion entry of the generator process each op used to run as,
@@ -130,6 +133,45 @@ def _corun():
     return jobs[0], jobs, _digest(material)
 
 
+def _allreduce_replay():
+    """An all-reduce master that re-drives finished collectives: its
+    flights are drained mid-run and requeued once the pipe has
+    completed them, so each requeued start takes the backend's replay
+    branch (the key is already in ``completed_keys``)."""
+    job = TrainingJob(
+        resolve_model("resnet50"),
+        ClusterSpec(
+            machines=2,
+            gpus_per_machine=1,
+            arch="allreduce",
+            framework="pytorch",
+            transport="tcp",
+            compute_jitter=0.02,
+            seed=0,
+        ),
+        SchedulerSpec(kind="bytescheduler", partition_bytes=1 * MB, credit_bytes=4 * MB),
+    )
+    backend = job.backend
+    replays = []
+    start_chunk = backend.start_chunk
+
+    def spy(chunk, *rest):
+        if chunk.key in backend.completed_keys:
+            replays.append(chunk.key)
+        return start_chunk(chunk, *rest)
+
+    backend.start_chunk = spy
+    (core,) = set(job.cores.values())
+    held = []
+    job.env.defer(lambda _: held.extend(core.drain()), None, 0.3)
+    job.env.defer(lambda _: core.requeue(held), None, 0.35)
+    result = job.run(measure=MEASURE, warmup=WARMUP)
+    assert held and len(replays) == len(held)
+    return job, [job], _digest(_material(job, result.speed))
+
+
+_ALLREDUCE = {"arch": "allreduce", "framework": "pytorch"}
+
 CASES = {
     "tcp-bytescheduler": _single(model="vgg16"),
     "rdma-ack0": _single(model="vgg16", transport="rdma", ack_delay=0.0),
@@ -164,6 +206,24 @@ CASES = {
         arch="allreduce", framework="pytorch", scheduler=SchedulerSpec(kind="fusion")
     ),
     "corun-hierarchical": _corun,
+    # Collective paths, pinned before their milestones became callbacks.
+    "allreduce-bytescheduler": _single(**_ALLREDUCE),
+    "allreduce-dear": _single(**_ALLREDUCE, scheduler=SchedulerSpec(kind="dear")),
+    "allreduce-replay": _allreduce_replay,
+    "allreduce-leave-join": _single(
+        **_ALLREDUCE,
+        machines=3,
+        fault_plan=FaultPlan.parse("leave:m1@0.05;join:m1@0.2"),
+    ),
+    # Each milestone reaches the Core one notify delay late.
+    "notify-delay": _single(
+        scheduler=SchedulerSpec(
+            kind="bytescheduler",
+            partition_bytes=1 * MB,
+            credit_bytes=4 * MB,
+            notify_delay=0.0002,
+        )
+    ),
 }
 
 #: ``case -> (fingerprint, env._eid)``.
@@ -215,6 +275,26 @@ PINNED = {
     "corun-hierarchical": (
         "491eee3fbece64dcb68d8c26d8d474b7a8a15a8bdbf2c8051ffb158eed11b984",
         39986,
+    ),
+    "allreduce-bytescheduler": (
+        "ea43ca60c31ebdb5e4aa455c3a60145c2a47c349507cafd04ccd022d73cd9766",
+        3406,
+    ),
+    "allreduce-dear": (
+        "50ea016c059ac25824880827015c7eeb7f784e97c9594085d2f9886d535c3f6a",
+        2806,
+    ),
+    "allreduce-replay": (
+        "12ba802ec367177bbf217e9b013554c2cc6bf16d4a17317db3ccf550ad288b54",
+        3411,
+    ),
+    "allreduce-leave-join": (
+        "e2fe5c0a65906b4c459feafc6f915112903abc1b9dd488c22edeccd97d29e356",
+        4230,
+    ),
+    "notify-delay": (
+        "626d44e8434b5d642e51706a73748b0e5a253f06bf3a12de49a0179b3d20b784",
+        14246,
     ),
 }
 

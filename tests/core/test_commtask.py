@@ -111,7 +111,7 @@ def test_start_unready_subtask_rejected():
     task = CommTask(core, 0, 0, 100.0)
     (subtask,) = task.partition(None)
     with pytest.raises(SchedulerError):
-        subtask.start()
+        subtask.start(core._on_sent, core._finish, None)
 
 
 def test_default_name_includes_worker():

@@ -3,7 +3,7 @@
 
 import pytest
 
-from repro.comm.base import ChunkHandle, CommBackend
+from repro.comm.base import CommBackend
 from repro.core import (
     ByteSchedulerAdapter,
     ByteSchedulerCore,
@@ -31,10 +31,16 @@ class SlowBackend(CommBackend):
     def workers(self):
         return ("m0",)
 
-    def start_chunk(self, chunk):
+    def start_chunk(self, chunk, on_sent, on_done, token):
         self.starts.append((self.env.now, chunk.layer))
-        completion = self.env.timeout(self.service, value=chunk)
-        return ChunkHandle(sent=completion, done=completion)
+        self.env.defer(_fire, (on_sent, on_done, token), self.service)
+
+
+def _fire(milestones):
+    """A chunk's completion entry: both milestones, sent first."""
+    on_sent, on_done, token = milestones
+    on_sent(token)
+    on_done(token)
 
 
 def setup(engine_cls, scheduled, env=None, service=1.0, **core_kwargs):

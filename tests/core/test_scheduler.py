@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.comm.base import ChunkHandle, CommBackend
+from repro.comm.base import CommBackend
 from repro.core import ByteSchedulerCore, PRIORITY_FIFO
 from repro.errors import SchedulerError
 from repro.sim import Environment
@@ -17,25 +17,30 @@ class ManualBackend(CommBackend):
 
     def __init__(self, env):
         self.env = env
-        self.started = []  # (time, chunk, event)
+        self.started = []  # (time, chunk)
+        self.pending = []  # (on_sent, on_done, token), oldest first
 
     @property
     def workers(self):
         return ("m0",)
 
-    def start_chunk(self, chunk):
-        event = self.env.event()
-        self.started.append((self.env.now, chunk, event))
-        return ChunkHandle(sent=event, done=event)
+    def start_chunk(self, chunk, on_sent, on_done, token):
+        self.started.append((self.env.now, chunk))
+        self.pending.append((on_sent, on_done, token))
 
     def complete(self, index=0):
-        """Deliver the index-th oldest still-pending chunk."""
-        pending = [entry for entry in self.started if not entry[2].triggered]
-        _time, chunk, event = pending[index]
-        event.succeed(chunk)
+        """Deliver the index-th oldest still-pending chunk: both
+        milestones, in one kernel entry."""
+        self.env.defer(_fire, self.pending.pop(index))
 
     def start_order(self):
-        return [(chunk.layer, chunk.chunk_index) for _t, chunk, _e in self.started]
+        return [(chunk.layer, chunk.chunk_index) for _t, chunk in self.started]
+
+
+def _fire(milestones):
+    on_sent, on_done, token = milestones
+    on_sent(token)
+    on_done(token)
 
 
 class TimedBackend(CommBackend):
@@ -52,10 +57,9 @@ class TimedBackend(CommBackend):
     def workers(self):
         return ("m0",)
 
-    def start_chunk(self, chunk):
+    def start_chunk(self, chunk, on_sent, on_done, token):
         self.started.append((self.env.now, chunk))
-        completion = self.env.timeout(self.service, value=chunk)
-        return ChunkHandle(sent=completion, done=completion)
+        self.env.defer(_fire, (on_sent, on_done, token), self.service)
 
 
 def make_core(env, backend=None, **kwargs):
@@ -425,7 +429,7 @@ def test_cancelled_flights_ignore_late_completions():
     env.run()
     drained = core.drain("s0")
     assert core.credit == pytest.approx(100.0)
-    backend.complete()  # the stale handle event fires anyway
+    backend.complete()  # the stale milestones fire anyway
     env.run()
     assert not task.is_finished
     assert core.credit == pytest.approx(100.0)  # no double refund

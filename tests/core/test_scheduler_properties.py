@@ -5,7 +5,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.comm.base import ChunkHandle, CommBackend
+from repro.comm.base import CommBackend
 from repro.core import ByteSchedulerCore, TaskState
 from repro.sim import Environment
 
@@ -28,20 +28,21 @@ class AuditingBackend(CommBackend):
     def workers(self):
         return ("m0",)
 
-    def start_chunk(self, chunk):
+    def start_chunk(self, chunk, on_sent, on_done, token):
         self.inflight_bytes += chunk.size
         self.max_inflight_bytes = max(self.max_inflight_bytes, self.inflight_bytes)
         self.max_single = max(self.max_single, chunk.size)
         self.starts.append((self.env.now, chunk.layer, chunk.chunk_index, chunk.size))
-        completion = self.env.timeout(self.service, value=chunk)
-        completion.callbacks.append(self._release(chunk))
-        return ChunkHandle(sent=completion, done=completion)
+        op = (chunk, on_sent, on_done, token)
+        self.env.defer(self._complete, op, self.service)
 
-    def _release(self, chunk):
-        def _done(_evt):
-            self.inflight_bytes -= chunk.size
-
-        return _done
+    def _complete(self, op):
+        """The chunk's completion entry: release its bytes, then both
+        milestones."""
+        chunk, on_sent, on_done, token = op
+        self.inflight_bytes -= chunk.size
+        on_sent(token)
+        on_done(token)
 
 
 task_strategy = st.lists(
@@ -196,7 +197,7 @@ class FaultedAuditingBackend(AuditingBackend):
         if not -1e-9 <= core.credit <= core.credit_capacity + 1e-9:
             self.ledger_violations.append((self.env.now, core.credit))
 
-    def start_chunk(self, chunk):
+    def start_chunk(self, chunk, on_sent, on_done, token):
         from repro.faults import degraded_finish
 
         self.audit()
@@ -205,10 +206,15 @@ class FaultedAuditingBackend(AuditingBackend):
         self.max_single = max(self.max_single, chunk.size)
         self.starts.append((self.env.now, chunk.layer, chunk.chunk_index, chunk.size))
         end = degraded_finish(self.env.now, self.service, self.windows)
-        completion = self.env.timeout(end - self.env.now, value=chunk)
-        completion.callbacks.append(self._release(chunk))
-        completion.callbacks.append(lambda _evt: self.audit())
-        return ChunkHandle(sent=completion, done=completion)
+        op = (chunk, on_sent, on_done, token)
+        self.env.defer(self._complete, op, end - self.env.now)
+
+    def _complete(self, op):
+        chunk, on_sent, on_done, token = op
+        self.inflight_bytes -= chunk.size
+        self.audit()
+        on_sent(token)
+        on_done(token)
 
 
 @given(

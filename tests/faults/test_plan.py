@@ -1,6 +1,7 @@
 """Unit tests for the declarative fault plan and its CLI grammar."""
 
 import math
+import re
 
 import pytest
 from hypothesis import assume, given, settings
@@ -427,3 +428,63 @@ def test_adjacent_link_windows_and_overlapping_drift_allowed():
         "drift:ramp:w0.up@0-2x1-0.5;drift:diurnal:w0.both@0-2~1x0.5"
     )
     assert len(plan.link_faults) == 3 and len(plan.drift) == 2
+
+
+# -- hostile inputs ----------------------------------------------------------
+
+#: Valid specs the fuzz below starts from: one clause per family (the
+#: pinned every-family plan, split) and the whole plan.
+_FUZZ_SEEDS = tuple(EVERY_FAMILY.split(";")) + (EVERY_FAMILY,)
+_NUMBER = re.compile(r"\d+(?:\.\d*)?(?:e[-+]?\d+)?")
+#: Numbers at the edges of float: subnormal, overflowing, non-finite.
+_HOSTILE_NUMBERS = (
+    "0", "-0", "1e-9", "81e-320", "5e-324", "1e308", "1e400", "inf", "nan", "9" * 40,
+)
+_GRAMMAR_CHARS = "0123456789.-+e~x@%:;wsm ubdnlopftrhgi"
+
+
+@st.composite
+def _mutated_spec(draw):
+    """A valid spec with a few edits: a number swapped for a hostile
+    one, or a character replaced, inserted or deleted."""
+    spec = draw(st.sampled_from(_FUZZ_SEEDS))
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(st.sampled_from(["number", "replace", "insert", "delete"]))
+        if edit == "number":
+            numbers = list(_NUMBER.finditer(spec))
+            if not numbers:
+                continue
+            match = draw(st.sampled_from(numbers))
+            value = draw(st.sampled_from(_HOSTILE_NUMBERS))
+            spec = spec[: match.start()] + value + spec[match.end():]
+            continue
+        at = draw(st.integers(0, max(0, len(spec) - 1)))
+        char = draw(st.sampled_from(_GRAMMAR_CHARS))
+        if edit == "replace":
+            spec = spec[:at] + char + spec[at + 1:]
+        elif edit == "insert":
+            spec = spec[:at] + char + spec[at:]
+        else:
+            spec = spec[:at] + spec[at + 1:]
+    return spec
+
+
+@settings(max_examples=400, deadline=None)
+@given(spec=_mutated_spec())
+def test_mutated_specs_parse_exactly_or_fail_typed(spec):
+    """Any edit of a valid spec either fails with a typed
+    configuration error or parses to a plan that round-trips exactly:
+    no other exception escapes ``parse``."""
+    try:
+        plan = FaultPlan.parse(spec)
+    except ConfigError:  # FaultPlanError included
+        return
+    assert FaultPlan.parse(plan.to_spec()) == plan
+
+
+def test_subnormal_drift_period_is_a_clause_error():
+    """``span / period`` overflows to inf for a subnormal period: the
+    step-cap check must still name the clause."""
+    with pytest.raises(FaultPlanError, match="inf steps") as excinfo:
+        FaultPlan.parse("drift:diurnal:s0.both@0-6~81e-320x0.15;seed:3")
+    assert excinfo.value.position == 1

@@ -11,6 +11,7 @@ from repro.net import Fabric, Transport
 from repro.sim import Environment, Trace
 from repro.training import ClusterSpec, SchedulerSpec, TrainingJob, run_experiment
 from repro.training.runner import resolve_model
+from tests.comm.milestones import Milestones
 
 
 def test_retry_policy_validation_and_backoff():
@@ -48,9 +49,10 @@ def make_ps(env, retry, trace=None):
 def test_no_retry_policy_means_plain_transfer():
     env = Environment()
     _fabric, backend = make_ps(env, retry=None)
-    handle = backend.start_chunk(ChunkSpec(0, 0, 0, 1, 100.0, worker="w0"))
+    milestones = Milestones(env)
+    chunk = milestones.start(backend.start_chunk, ChunkSpec(0, 0, 0, 1, 100.0, worker="w0"))
     env.run()
-    assert handle.done.triggered
+    assert len(milestones.times("done", chunk)) == 1
     assert backend.timeouts == 0 and backend.retries == 0
 
 
@@ -64,9 +66,10 @@ def test_blackout_triggers_timeouts_and_retries():
     fabric, backend = make_ps(env, retry=policy, trace=trace)
     fabric.nic("w0").uplink.set_fault_windows(((0.0, 2.0, 0.0),))
 
-    handle = backend.start_chunk(ChunkSpec(0, 0, 0, 1, 10.0, worker="w0"))
+    milestones = Milestones(env)
+    chunk = milestones.start(backend.start_chunk, ChunkSpec(0, 0, 0, 1, 10.0, worker="w0"))
     env.run()
-    assert handle.done.triggered
+    assert len(milestones.times("done", chunk)) == 1
     # Push deadlines at 0.5, 1.5 (0.5+1.0), 3.5 (1.5+2.0): the first
     # two expire inside the blackout, the third copy lands at ~2.1;
     # the pull (0.1s healthy service) never times out.
@@ -81,16 +84,16 @@ def test_blackout_triggers_timeouts_and_retries():
 
 
 def test_first_copy_wins_only_once():
-    """Retransmitted copies must not double-fire the chunk's events."""
+    """Retransmitted copies must not double-fire the chunk's milestones."""
     env = Environment()
     policy = RetryPolicy(timeout=0.1, max_retries=2, backoff=1.0)
     fabric, backend = make_ps(env, retry=policy)
     fabric.nic("w0").uplink.set_fault_windows(((0.0, 0.15, 0.0),))
-    fired = []
-    handle = backend.start_chunk(ChunkSpec(0, 0, 0, 1, 10.0, worker="w0"))
-    handle.done.callbacks.append(lambda evt: fired.append(evt.env.now))
+    milestones = Milestones(env)
+    chunk = milestones.start(backend.start_chunk, ChunkSpec(0, 0, 0, 1, 10.0, worker="w0"))
     env.run()
-    assert len(fired) == 1
+    assert len(milestones.times("sent", chunk)) == 1
+    assert len(milestones.times("done", chunk)) == 1
     # All three copies eventually traverse the link (bandwidth cost of
     # retrying), but only the first delivery completes the chunk.
     assert fabric.nic("w0").uplink.messages_sent == 3
@@ -105,10 +108,11 @@ def test_exhausted_budget_aborts_with_typed_error():
     policy = RetryPolicy(timeout=0.15, max_retries=1, backoff=1.0)
     fabric, backend = make_ps(env, retry=policy, trace=trace)
     fabric.nic("w0").uplink.set_fault_windows(((0.0, 100.0, 0.0),))
-    handle = backend.start_chunk(ChunkSpec(0, 0, 0, 1, 10.0, worker="w0"))
+    milestones = Milestones(env)
+    milestones.start(backend.start_chunk, ChunkSpec(0, 0, 0, 1, 10.0, worker="w0"))
     with pytest.raises(TransferAbortedError) as excinfo:
         env.run()
-    assert not handle.done.triggered
+    assert milestones.calls == []
     assert backend.timeouts == 2          # both attempts expired
     assert backend.retries == 1           # one retransmission allowed
     assert backend.aborts == 1
@@ -133,7 +137,7 @@ def test_abort_claimed_by_recovery_handler_does_not_raise():
         return True
 
     backend.on_abort = on_abort
-    backend.start_chunk(ChunkSpec(0, 0, 0, 1, 10.0, worker="w0"))
+    Milestones(env).start(backend.start_chunk, ChunkSpec(0, 0, 0, 1, 10.0, worker="w0"))
     env.run()  # must not raise
     assert claimed == [("push", "s0")]
     assert backend.aborts == 1

@@ -140,7 +140,7 @@ def test_per_layer_partition_overrides():
 
 
 def test_partition_override_chunk_counts():
-    from repro.comm.base import ChunkHandle, CommBackend
+    from repro.comm.base import CommBackend
     from repro.core import ByteSchedulerCore
     from repro.sim import Environment
 
@@ -148,17 +148,13 @@ def test_partition_override_chunk_counts():
         is_collective = True
         workers = ("m0",)
 
-        def __init__(self, env):
-            self.env = env
-
-        def start_chunk(self, chunk):
-            done = self.env.timeout(0.0, value=chunk)
-            return ChunkHandle(sent=done, done=done)
+        def start_chunk(self, chunk, on_sent, on_done, token):  # pragma: no cover
+            raise AssertionError  # partitioning alone starts nothing
 
     env = Environment()
     core = ByteSchedulerCore(
         env,
-        NullBackend(env),
+        NullBackend(),
         partition_bytes=4 * MB,
         partition_overrides={1: 12 * MB},
     )
@@ -169,7 +165,7 @@ def test_partition_override_chunk_counts():
 
 
 def test_partition_override_validation():
-    from repro.comm.base import ChunkHandle, CommBackend
+    from repro.comm.base import CommBackend
     from repro.core import ByteSchedulerCore
     from repro.sim import Environment
 
@@ -177,7 +173,7 @@ def test_partition_override_validation():
         is_collective = True
         workers = ("m0",)
 
-        def start_chunk(self, chunk):  # pragma: no cover - never called
+        def start_chunk(self, chunk, on_sent, on_done, token):  # pragma: no cover
             raise AssertionError
 
     env = Environment()
