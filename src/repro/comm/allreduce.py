@@ -30,7 +30,7 @@ from typing import Any, Callable, Dict, Optional, Sequence, Set, Tuple
 
 from repro.errors import ConfigError
 from repro.net.transport import IntegrityStats, Transport
-from repro.sim import Environment, Trace
+from repro.sim import Completion, Environment, Trace
 from repro.comm.base import ChunkSpec, CommBackend, Milestone, RetryPolicy, complete_chunk
 from repro.units import GB, MS, US
 
@@ -168,8 +168,8 @@ class RingAllReduceBackend(CommBackend):
         an existing member before it can participate; the transfer
         occupies the collective pipe — all-reduce serialises on one
         stream, and a bulk state broadcast is a collective too.  Returns
-        the sync's completion :class:`~repro.sim.Event` (the joiner's
-        first forward op gates on it).
+        the sync's :class:`~repro.sim.Completion`, fired at the sync's
+        end (the joiner's first forward op gates on it).
         """
         if machine not in self._workers:
             raise ConfigError(f"unknown machine {machine!r}")
@@ -194,7 +194,9 @@ class RingAllReduceBackend(CommBackend):
             self.trace.span(
                 "membership.sync", machine, start, end, size=sync_bytes
             )
-        return self.env.timeout(end - self.env.now, value=machine)
+        gate = Completion()
+        self.env.defer_at(Completion.fire, gate, end)
+        return gate
 
     def sync_overhead(self) -> float:
         """Per-collective synchronisation cost (the all-reduce θ)."""
@@ -349,7 +351,7 @@ class RingAllReduceBackend(CommBackend):
         duration: float,
         span_category: str,
         fault_label: str,
-    ):
+    ) -> float:
         """Occupy the single FIFO pipe for one collective operation.
 
         The shared execution path for a monolithic all-reduce and for
@@ -358,9 +360,11 @@ class RingAllReduceBackend(CommBackend):
         retransmits; dup is absorbed; reorder inflates the sync), waste
         the seeded loss attempts, stretch through the fault plan's
         degradation windows, then advance the pipe cursor and return
-        the delay from now until the op completes.  ``span_category``
-        names the trace span ("allreduce", "reduce_scatter",
-        "all_gather"); ``fault_label`` labels the fault spans/points.
+        the time the op completes, for the caller to arm its completion
+        at with :meth:`~repro.sim.Environment.defer_at`.
+        ``span_category`` names the trace span ("allreduce",
+        "reduce_scatter", "all_gather"); ``fault_label`` labels the
+        fault spans/points.
         """
         start = max(self.env.now, self._busy_until)
         cursor = start
@@ -434,7 +438,7 @@ class RingAllReduceBackend(CommBackend):
             )
         # A collective is "sent" when it completes: the credit window
         # bounds how many operations sit in NCCL's execution queue.
-        return end - self.env.now
+        return end
 
     def start_chunk(
         self, chunk: ChunkSpec, on_sent: Milestone, on_done: Milestone, token: Any
@@ -453,14 +457,14 @@ class RingAllReduceBackend(CommBackend):
             return
         self.collectives_run += 1
         self.bytes_reduced += chunk.size
-        delay = self._execute_pipe_op(
+        end = self._execute_pipe_op(
             chunk,
             self.collective_time(chunk.size),
             "allreduce",
             f"allreduce:iter{chunk.iteration}.layer{chunk.layer}",
         )
         op = (self._record_complete, chunk, on_sent, on_done, token)
-        self.env.defer(complete_chunk, op, delay)
+        self.env.defer_at(complete_chunk, op, end)
 
     def bytes_per_iteration(self, total_model_bytes: float) -> float:
         ranks = self.ring_size

@@ -90,14 +90,14 @@ class DecoupledAllReduceBackend(RingAllReduceBackend):
         self.bytes_reduced += chunk.size
         if self._obs is not None and "reduce_scatters" in self._obs:
             self._obs["reduce_scatters"].inc()
-        delay = self._execute_pipe_op(
+        end = self._execute_pipe_op(
             chunk,
             self.reduce_scatter_time(chunk.size),
             "reduce_scatter",
             f"reduce_scatter:iter{chunk.iteration}.layer{chunk.layer}",
         )
         op = (self._record_reduce_scattered, chunk, on_sent, on_done, token)
-        self.env.defer(complete_chunk, op, delay)
+        self.env.defer_at(complete_chunk, op, end)
 
     def start_all_gather(
         self, chunk: ChunkSpec, on_sent: Milestone, on_done: Milestone, token: Any
@@ -123,7 +123,7 @@ class DecoupledAllReduceBackend(RingAllReduceBackend):
         self.collectives_run += 1
         if self._obs is not None and "all_gathers" in self._obs:
             self._obs["all_gathers"].inc()
-        delay = self._execute_pipe_op(
+        end = self._execute_pipe_op(
             chunk,
             self.all_gather_time(chunk.size),
             "all_gather",
@@ -134,7 +134,7 @@ class DecoupledAllReduceBackend(RingAllReduceBackend):
         # oracle's on_complete hook) fires here, exactly once per key —
         # same keys as a monolithic run of the same schedule.
         op = (self._record_complete, chunk, on_sent, on_done, token)
-        self.env.defer(complete_chunk, op, delay)
+        self.env.defer_at(complete_chunk, op, end)
 
     def __repr__(self) -> str:
         return (

@@ -71,6 +71,11 @@ __all__ = ["PSBackend"]
 DEFAULT_UPDATE_RATE = 40 * GB
 
 
+def _reraise(exc: BaseException) -> None:
+    """Deferred callback: surface ``exc`` from ``env.run()``."""
+    raise exc
+
+
 class _ChunkState:
     """Aggregation progress for one (iteration, layer, chunk).
 
@@ -377,7 +382,7 @@ class PSBackend(CommBackend):
         )
         claimed = self.on_abort is not None and self.on_abort(message, error)
         if not claimed:
-            self.env.event().fail(error)
+            self.env.defer(_reraise, error)
 
     def _barrier_met(self, state: _ChunkState) -> bool:
         """All the chunk's *live* members' pushes have arrived.

@@ -13,8 +13,9 @@ paper's interface:
 * ``SubCommTask.start(on_sent, on_done, token)`` — hand one partition
   to the communication stack (the Core calls this; it invokes the backend).
 * ``notify_finish`` — the backend's ``on_done`` call; the Core returns
-  credit and, when the last partition lands, fires ``task.finished``
-  (what the next iteration's forward proxies wait on).
+  credit and, when the last partition lands, completes
+  ``task.finished`` (a :class:`~repro.sim.Completion`, what the next
+  iteration's forward proxies wait on).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import math
 from typing import Any, List, Optional, TYPE_CHECKING
 
 from repro.errors import SchedulerError
-from repro.sim import Event
+from repro.sim import Completion
 from repro.comm.base import ChunkSpec, Milestone
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -46,7 +47,7 @@ class TaskState(enum.Enum):
 class SubCommTask:
     """One partition of a CommTask — the unit Algorithm 1 schedules."""
 
-    __slots__ = ("parent", "task_name", "index", "size", "state")
+    __slots__ = ("parent", "task_name", "index", "size", "state", "_chunk")
 
     def __init__(self, parent: "CommTask", index: int, size: float) -> None:
         #: The owning task, until every partition of it has finished;
@@ -57,22 +58,33 @@ class SubCommTask:
         self.index = index
         self.size = size
         self.state = TaskState.CREATED
+        self._chunk: Optional[ChunkSpec] = None
 
     @property
     def priority(self) -> float:
         """Inherited from the parent task (same layer, same priority)."""
         return self.parent.priority
 
+    @property
     def chunk(self) -> ChunkSpec:
-        """The backend-facing description of this partition."""
-        return ChunkSpec(
-            iteration=self.parent.iteration,
-            layer=self.parent.layer,
-            chunk_index=self.index,
-            num_chunks=len(self.parent.subtasks),
-            size=self.size,
-            worker=self.parent.worker,
-        )
+        """The backend-facing description of this partition.
+
+        Built once, at first use (the partition's start), and dropped
+        when the task finishes: a spec lives while its partition is in
+        flight, not for as long as the iteration holds its tasks.
+        """
+        chunk = self._chunk
+        if chunk is None:
+            parent = self.parent
+            chunk = self._chunk = ChunkSpec(
+                iteration=parent.iteration,
+                layer=parent.layer,
+                chunk_index=self.index,
+                num_chunks=len(parent.subtasks),
+                size=self.size,
+                worker=parent.worker,
+            )
+        return chunk
 
     def start(self, on_sent: Milestone, on_done: Milestone, token: Any) -> None:
         """Hand this partition to the FIFO communication stack
@@ -82,7 +94,7 @@ class SubCommTask:
                 f"{self!r} started in state {self.state.value}, expected ready"
             )
         self.state = TaskState.STARTED
-        self.parent.core.backend.start_chunk(self.chunk(), on_sent, on_done, token)
+        self.parent.core.backend.start_chunk(self.chunk, on_sent, on_done, token)
 
     def __repr__(self) -> str:
         return (
@@ -117,9 +129,9 @@ class CommTask:
         self.subtasks: List[SubCommTask] = []
         self._finished_count = 0
         self._ready_called = False
-        #: Fires when every partition has been delivered and
+        #: Completes when every partition has been delivered and
         #: acknowledged — what forward-pass proxies block on.
-        self.finished: Event = core.env.event()
+        self.finished = Completion()
 
     def partition(self, unit: Optional[float]) -> List[SubCommTask]:
         """Split into equal partitions of at most ``unit`` bytes.
@@ -162,12 +174,13 @@ class CommTask:
         if self._finished_count == len(self.subtasks):
             for part in self.subtasks:
                 part.parent = None
-            self.finished.succeed()
+                part._chunk = None
+            self.finished.complete(self.core.env)
 
     @property
     def is_finished(self) -> bool:
         """True once every partition has finished."""
-        return self.finished.triggered
+        return self.finished.done
 
     def __repr__(self) -> str:
         return (

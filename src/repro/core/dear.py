@@ -201,7 +201,7 @@ class DeARCore(ByteSchedulerCore):
     def _on_all_gather_done(self, batch: Tuple[SubCommTask, ...]) -> None:
         self._ops_inflight -= 1
         for subtask in batch:
-            # Fires task.finished — the next iteration's per-layer
+            # Completes task.finished — the next iteration's per-layer
             # forward proxy unblocks here, not at reduce-scatter time.
             subtask.parent._on_subtask_finished(subtask)
         self._kick()

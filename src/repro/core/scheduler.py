@@ -326,7 +326,7 @@ class ByteSchedulerCore:
                     self._obs.queue_depth.set(len(self._queue), self.env._now)
                 continue
             if self._blocked_nodes:
-                target = self.backend.chunk_targets(subtask.chunk())
+                target = self.backend.chunk_targets(subtask.chunk)
                 if target is not None and target in self._blocked_nodes:
                     # The head depends on a node known to be down: park
                     # it (released by unblock_node) rather than either
@@ -337,7 +337,9 @@ class ByteSchedulerCore:
                     if self._obs is not None:
                         self._obs.queue_depth.set(len(self._queue), self.env._now)
                     continue
-            fits = self.credit >= subtask.size
+            # ``credit`` spelled out: unclamped, it decides the same for
+            # a size > 0, an infinite capacity included.
+            fits = self.credit_capacity - self._lent >= subtask.size
             # Liveness escape: with nothing in flight, no credit will
             # ever return, so a head that does not fit *now* never will
             # — start it uncharged (oversized tensors, oversized
@@ -474,7 +476,7 @@ class ByteSchedulerCore:
         for subtask, flight in list(self._flights.items()):
             if flight.cancelled:
                 continue
-            chunk = subtask.chunk()
+            chunk = subtask.chunk
             if node is not None and self.backend.chunk_targets(chunk) != node:
                 continue
             if key_set is not None and chunk.key not in key_set:

@@ -15,18 +15,19 @@ did, and trajectories are unchanged:
 
 * the process's kick-off → ``defer(_start, op)`` at post time;
 * waiting for all dependencies → :meth:`Engine._after_deps`, which
-  defers ``_ready`` when the last unprocessed dependency fires, or at
-  ``_start`` when every one was already processed;
+  defers ``_ready`` when the last dependency still to fire fires, or
+  at ``_start`` when every one had already fired;
 * the GPU request's grant → ``defer(_granted, op)``, popped from a heap
   of ``(op.seq, op)`` inside the engine.  A finishing compute op grants
-  the next one *before* its own ``done`` fires, as leaving the
-  request's ``with`` block did;
+  the next one *before* it completes, as leaving the request's
+  ``with`` block did;
 * the compute delay → ``defer(_computed, op, duration)``.
 
 The process's own completion entry had no listener and is gone: one
-kernel entry fewer per op whose process returned.  A failed
-dependency, release or completion still raises from ``env.run()`` one
-entry after the failure, at the same simulated time.
+kernel entry fewer per op whose process returned.  So is the entry of
+an op's completion event when nothing listened to it: an op is its own
+:class:`~repro.sim.Completion`, and finishing it issues an entry only
+for its listeners (the countdowns of the ops that depend on it).
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ class DeclarativeEngine(Engine):
     def _ready(self, op: EngineOp) -> None:
         """Run ``op``'s action: its dependencies are done."""
         if self.halted:
-            return  # the worker died; op.done never fires
+            return  # the worker died; op never completes
         env = self.env
         op.started_at = env.now
         kind = op.kind
@@ -84,7 +85,9 @@ class DeclarativeEngine(Engine):
             if op.on_start is not None:
                 op.on_start()
             release = op.release
-            if release is not None and not release.processed:
+            if release is not None and (
+                release.listeners is not None or not release.done
+            ):
                 self._finish_when(release, op)
                 return
         self._finish(op)
@@ -115,8 +118,9 @@ class DeclarativeEngine(Engine):
             self._gpu_busy = False
 
     def _finish(self, op: EngineOp) -> None:
-        op.finished_at = self.env.now
-        op.done.succeed()
+        env = self.env
+        op.finished_at = env._now
+        op.complete(env)
 
 
 class MXNetEngine(DeclarativeEngine):

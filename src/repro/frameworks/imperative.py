@@ -21,6 +21,11 @@ whole trajectories are unchanged.
 An idle driver holds nothing: no parked event, no suspended generator.
 So nothing in the engine points back at it once its last op is done,
 and a finished job is freed by reference counting.
+
+Finishing an op completes it (:meth:`~repro.sim.Completion.complete`):
+only ops something waits on (a barrier, the job's iteration marker)
+take a kernel entry for it.  The driver waits on nothing but its
+barriers, so most ops of an imperative run finish without one.
 """
 
 from __future__ import annotations
@@ -29,19 +34,9 @@ from collections import deque
 from typing import Deque
 
 from repro.frameworks.engine import Engine, EngineOp, OpKind
-from repro.sim import Environment, Event
+from repro.sim import Environment
 
 __all__ = ["ImperativeEngine", "PyTorchEngine"]
-
-
-def _completer(op: EngineOp):
-    """Callback finishing a launched COMM op when its transfer lands."""
-
-    def _on_complete(event: Event) -> None:
-        op.finished_at = event.env.now
-        op.done.succeed()
-
-    return _on_complete
 
 
 class ImperativeEngine(Engine):
@@ -49,9 +44,7 @@ class ImperativeEngine(Engine):
 
     Posted ops wait in ``_posted`` while the driver is ``_busy`` (an op
     is on its way to it or running); a post to an idle driver hands the
-    op over directly.  A failed release or barrier dependency stops the
-    driver for good, and its exception propagates out of ``env.run()``
-    one kernel entry later at the same instant.
+    op over directly.
     """
 
     style = "imperative"
@@ -97,10 +90,10 @@ class ImperativeEngine(Engine):
             # Launch asynchronously; the driver moves straight on.
             completion = op.launch()
             if op.async_launch or completion is None:
-                op.finished_at = env.now
-                op.done.succeed()
+                op.finished_at = env._now
+                op.complete(env)
             else:
-                completion.callbacks.append(_completer(op))
+                completion.then(lambda _completion: self._landed(op))
             self._advance()
             return
         elif kind is OpKind.PROXY:
@@ -108,7 +101,9 @@ class ImperativeEngine(Engine):
             if op.on_start is not None:
                 op.on_start()
             release = op.release
-            if release is not None and not release.processed:
+            if release is not None and (
+                release.listeners is not None or not release.done
+            ):
                 self._finish_when(release, op)
                 return
         else:  # BARRIER: blocks the driver until its deps are done
@@ -117,9 +112,17 @@ class ImperativeEngine(Engine):
         self._finish(op)
 
     def _finish(self, op: EngineOp) -> None:
-        op.finished_at = self.env.now
-        op.done.succeed()
+        env = self.env
+        op.finished_at = env._now
+        op.complete(env)
         self._advance()
+
+    def _landed(self, op: EngineOp) -> None:
+        """A launched COMM op's transfer finished; the driver moved on
+        at launch, so there is nothing to advance."""
+        env = self.env
+        op.finished_at = env._now
+        op.complete(env)
 
 
 class PyTorchEngine(ImperativeEngine):

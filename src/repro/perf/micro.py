@@ -6,7 +6,7 @@ compare runs.  They exercise the three layers the figure sweeps spend
 their time in:
 
 * ``event_throughput`` — the discrete-event kernel alone: callback
-  chains re-arming timeouts, no network, no scheduler.
+  chains re-arming deferred entries, no network, no scheduler.
 * ``link_burst`` — back-to-back frames through one FIFO ``Link``, each
   completing in its own kernel entry (the per-hop cost every fabric
   transfer pays).
@@ -52,13 +52,14 @@ __all__ = [
 def bench_event_throughput(
     processes: int = 100, steps: int = 1000
 ) -> Dict[str, Any]:
-    """Events/second through the bare kernel.
+    """Entries/second through the bare kernel.
 
-    ``processes`` callback chains each wait on ``steps`` staggered
-    timeouts, one after another: the timeout's callback arms the next
-    — the allocation + heap + callback path every simulated action
-    rides on.  (The parameter keeps the name it had when each chain was
-    a generator process, so results stay comparable with the baseline.)
+    ``processes`` callback chains each run ``steps`` staggered
+    :meth:`~repro.sim.Environment.defer` entries, one after another:
+    each entry's callback defers the next — the heap + callback path
+    every simulated action rides on.  (The parameter keeps the name it
+    had when each chain was a generator process, so results stay
+    comparable with the baseline.)
     """
     env = Environment()
     total_events = processes * steps
@@ -67,13 +68,13 @@ def bench_event_throughput(
         delay = 0.001 + index * 1e-6
         left = steps
 
-        def step(_event: Event) -> None:
+        def step(_arg: Any) -> None:
             nonlocal left
             left -= 1
             if left:
-                env.timeout(delay).callbacks.append(step)
+                env.defer(step, None, delay)
 
-        env.timeout(delay).callbacks.append(step)
+        env.defer(step, None, delay)
 
     for index in range(processes):
         chain(index)
@@ -96,8 +97,7 @@ def bench_link_burst(
 
     Each round fires a burst of back-to-back frames at an idle link —
     the path every fabric hop rides — and runs the kernel until the
-    burst drains.  Measures enqueue + the per-frame completion entry,
-    with no Event allocated per frame.
+    burst drains.  Measures enqueue + the per-frame completion entry.
     """
     from repro.net.link import Link
     from repro.net.message import Message

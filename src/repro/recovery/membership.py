@@ -50,6 +50,7 @@ from repro.recovery.detector import (
     FailureDetector,
 )
 from repro.recovery.liveness import NodeLiveness
+from repro.sim import Completion
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.training.job import TrainingJob
@@ -294,17 +295,17 @@ class MembershipManager:
                 sync = Message(
                     job.backend.servers[0], node, sync_bytes, kind="sync"
                 )
-                gate = self.env.event()
-                gate.callbacks.append(
-                    lambda _evt, n=node, s=started, b=sync_bytes: (
+                gate = Completion()
+                gate.then(
+                    lambda _gate, n=node, s=started, b=sync_bytes: (
                         self.trace.span(
                             "membership.sync", n, s, self.env.now, size=b
                         )
                     )
                 )
                 # The delivery's own kernel entry runs the gate's
-                # callbacks, so no second entry is issued.
-                job.fabric.send(sync, gate.succeed_inline)
+                # listeners, so no second entry is issued.
+                job.fabric.send(sync, gate.fire)
         job.activate_worker(node, gate)
         if self._detector is not None:
             self._watch_cancels[node] = self._detector.watch(

@@ -374,18 +374,11 @@ class TrainingJob:
             adapter.finish_iteration(iteration)
 
             # Iteration marker: completion of the last backward op.
-            first_bp.done.callbacks.append(
-                lambda _evt, w=worker: self._markers[w].append(self.env.now)
-            )
-            first_bp.done.callbacks.append(
-                lambda _evt, w=worker, wt=watch: self._iteration_worker_done(
-                    w, wt
+            first_bp.then(
+                lambda _op, w=worker, wt=watch, p=pending: self._backward_done(
+                    w, wt, p
                 )
             )
-            if pending is not None:
-                first_bp.done.callbacks.append(
-                    lambda _evt, w=worker, p=pending: self._worker_done(w, p)
-                )
 
     def _drop_fired_countdowns(self) -> None:
         """Forget the countdowns that fired (called where the clock may
@@ -393,6 +386,17 @@ class TrainingJob:
         iteration: a layer-0 countdown can fire after its iteration's
         marker."""
         self._countdowns = [c for c in self._countdowns if c.pending]
+
+    def _backward_done(
+        self, worker: str, watch: Dict, pending: Optional[Dict]
+    ) -> None:
+        """``worker`` finished its last backward op of an iteration:
+        stamp its marker, then settle the iteration's watch and, when
+        metrics are on, its pending sample."""
+        self._markers[worker].append(self.env.now)
+        self._iteration_worker_done(worker, watch)
+        if pending is not None:
+            self._worker_done(worker, pending)
 
     def _worker_done(self, worker: str, pending: Dict) -> None:
         pending["waiting"].discard(worker)
@@ -458,7 +462,7 @@ class TrainingJob:
     def activate_worker(self, worker: str, gate=None) -> None:
         """(Re-)admit ``worker`` to future iterations (elastic join).
 
-        ``gate`` — an optional :class:`~repro.sim.Event` for the
+        ``gate`` — an optional :class:`~repro.sim.Completion` for the
         worker's state sync — delays its first forward op until the
         parameters arrived.
         """

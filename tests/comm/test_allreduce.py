@@ -153,3 +153,27 @@ def test_each_milestone_fires_exactly_once():
         ("done", "replay", pytest.approx(finished + 0.25)),
     ]
     assert backend.collectives_run == 1
+
+
+def test_collective_completes_at_the_pipe_boundary_exactly():
+    # A collective queued behind another ends at ``end``, where
+    # ``now + (end - now) != end`` for some start clocks: its completion
+    # must be armed for ``end`` itself, not for ``end - now`` from now.
+    for step in range(1, 200):
+        now = step * 0.01
+        env = Environment()
+        env.run(until=now)
+        backend = make_backend(env)
+        milestones = Milestones(env)
+        milestones.start(backend.start_chunk, collective(size=100.0, index=0, num=2))
+        token = milestones.start(
+            backend.start_chunk, collective(size=37.0 + step, index=1, num=2)
+        )
+        end = backend._busy_until
+        if now + (end - now) != end:
+            break
+    else:
+        raise AssertionError("no start clock rounds the relative delay")
+    env.run()
+    assert milestones.times("sent", token) == [end]
+    assert milestones.times("done", token) == [end]

@@ -293,3 +293,29 @@ def test_each_milestone_fires_exactly_once():
     assert len(log) == 8
     assert backend.reduce_scatters_run == 1
     assert backend.all_gathers_run == 1
+
+
+@pytest.mark.parametrize("phase", ["reduce_scatter", "all_gather"])
+def test_phase_completes_at_the_pipe_boundary_exactly(phase):
+    # A phase queued behind another ends at ``end``, where
+    # ``now + (end - now) != end`` for some start clocks: its completion
+    # must be armed for ``end`` itself, not for ``end - now`` from now.
+    for step in range(1, 200):
+        env = Environment()
+        backend = make_backend(env)
+        chunk = collective(37.0 + step, layer=1)
+        if phase == "all_gather":
+            reduce_scatter(backend, chunk)
+            env.run()
+        env.run(until=env.now + step * 0.01)
+        now = env.now
+        reduce_scatter(backend, collective(size=1000.0, layer=0))
+        milestones = Milestones(env)
+        milestones.start(getattr(backend, f"start_{phase}"), chunk)
+        end = backend._busy_until
+        if now + (end - now) != end:
+            break
+    else:
+        raise AssertionError("no start clock rounds the relative delay")
+    env.run()
+    assert milestones.times("done", chunk) == [end]

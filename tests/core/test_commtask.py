@@ -90,9 +90,33 @@ def test_chunkspec_reflects_task_identity():
     core = make_core(env)
     task = CommTask(core, 5, 2, 400.0)
     subtasks = task.partition(100.0)
-    chunk = subtasks[2].chunk()
+    chunk = subtasks[2].chunk
     assert (chunk.iteration, chunk.layer, chunk.chunk_index) == (5, 2, 2)
     assert chunk.num_chunks == 4
+
+
+def test_each_partition_hands_the_backend_its_one_spec():
+    # Built once; a drained and requeued partition starts again with
+    # the same spec.
+    env = Environment()
+    core = make_core(env, partition=100.0, credit=250.0)
+    started = []
+    start_chunk = core.backend.start_chunk
+
+    def spy(chunk, *rest):
+        started.append(chunk)
+        return start_chunk(chunk, *rest)
+
+    core.backend.start_chunk = spy
+    task = core.create_task(0, 0, 400.0)
+    specs = [sub.chunk for sub in task.subtasks]
+    task.notify_ready()
+    env.run(until=0.5)
+    core.requeue(core.drain())
+    env.run()
+    assert task.is_finished
+    assert len(started) > len(specs)
+    assert all(any(chunk is spec for spec in specs) for chunk in started)
 
 
 def test_task_finished_after_all_subtasks():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.comm.base import CommBackend
-from repro.core import ByteSchedulerCore, TaskState
+from repro.core import ByteSchedulerCore, CommTask, TaskState
 from repro.sim import Environment
 
 
@@ -75,9 +75,9 @@ def test_all_tasks_finish_and_window_is_respected(tasks, partition, credit):
         created.append(task)
 
         def make_ready(task=task):
-            return lambda _evt: task.notify_ready()
+            return lambda _arg: task.notify_ready()
 
-        env.timeout(delay).callbacks.append(make_ready())
+        env.defer(make_ready(), None, delay)
     env.run()
 
     # 1. Liveness: everything completes.
@@ -147,9 +147,7 @@ def test_determinism_of_schedule(tasks, partition):
         )
         for index, (layer, size, delay) in enumerate(tasks):
             task = core.create_task(index, layer, size)
-            env.timeout(delay).callbacks.append(
-                lambda _evt, t=task: t.notify_ready()
-            )
+            env.defer(CommTask.notify_ready, task, delay)
         env.run()
         return backend.starts
 
@@ -239,9 +237,7 @@ def test_fault_windows_preserve_ledger_and_liveness(tasks, partition, credit, wi
     for index, (layer, size, delay) in enumerate(tasks):
         task = core.create_task(index, layer, size)
         created.append(task)
-        env.timeout(delay).callbacks.append(
-            lambda _evt, t=task: t.notify_ready()
-        )
+        env.defer(CommTask.notify_ready, task, delay)
     env.run()
 
     assert backend.ledger_violations == []
@@ -273,9 +269,7 @@ def test_faulted_schedule_is_deterministic(tasks, windows):
         backend.core = core
         for index, (layer, size, delay) in enumerate(tasks):
             task = core.create_task(index, layer, size)
-            env.timeout(delay).callbacks.append(
-                lambda _evt, t=task: t.notify_ready()
-            )
+            env.defer(CommTask.notify_ready, task, delay)
         env.run()
         return backend.starts
 

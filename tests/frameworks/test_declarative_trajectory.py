@@ -3,19 +3,26 @@
 Each case posts an op DAG to a fresh engine, runs it, and pins a sha256
 over every op's ``(name, repr(started_at), repr(finished_at))`` in the
 order the ops finished (then the unfinished ones in post order), plus
-the launch/start/failure log, and ``env._eid``, the number of sequence
+the launch/start log, and ``env._eid``, the number of sequence
 numbers the kernel handed out.
 
 The values were recorded on the engine's generator-process
 implementation, before it moved to kernel callbacks.  Each op's process
 ended in a completion entry that nothing listened to; the callback
-engine issues every other entry at the same point but not that one, so
+engine issues every other entry at the same point but not that one.
+The kernel has since lost events: an op, a gate or a release is a
+:class:`~repro.sim.Completion`, which issues no entry when it completes
+with no listener (the ``unheard`` fixture counts those).  So
 ``env._eid`` must be the pin minus the number of ops whose process
-returned (``RETURNED``).  The fingerprints must not be re-recorded to
-make a change pass.
+returned (``RETURNED``) minus the unheard completions.  The
+fingerprints must not be re-recorded to make a change pass.
 
-The drivers in this file use only :meth:`~repro.sim.Environment.defer`
-and event callbacks, so the same cases ran on both implementations.
+The drivers here ran on both implementations as events: a gate or a
+release was an event succeeded from a deferred entry (now
+:meth:`~repro.sim.Completion.complete` from one), a launch's completion
+a timeout (now :meth:`~repro.sim.Completion.fire` deferred by the
+delay).  Three cases pinned failing dependencies, completions and
+releases; completions cannot fail, so they are gone.
 """
 
 import hashlib
@@ -24,11 +31,7 @@ import random
 import pytest
 
 from repro.frameworks import EngineOp, MXNetEngine, OpKind, TensorFlowEngine
-from repro.sim import Environment
-
-
-class _Boom(Exception):
-    pass
+from repro.sim import Completion, Environment
 
 
 class _Recorder:
@@ -55,29 +58,32 @@ class _Recorder:
 
     def _post(self, op):
         self.engine.post(op)
-        op.done.callbacks.append(lambda _evt, op=op: self.finished.append(op))
+        op.then(self.finished.append)
 
-    def fire(self, event, at, value=None):
-        """Succeed ``event`` from a kernel entry at time ``at``."""
-        self.env.defer(lambda _arg: event.succeed(value), None, at)
-        return event
+    def gate(self, at=None):
+        """A completion, completed from a kernel entry at time ``at``
+        (now, before the run, when ``at`` is None)."""
+        gate = Completion()
+        if at is None:
+            gate.complete(self.env)
+        else:
+            self.env.defer(gate.complete, self.env, at)
+        return gate
 
     def compute(self, name, duration, deps=(), at=None):
         return self.post(EngineOp(name, OpKind.COMPUTE, deps=deps, duration=duration), at)
 
-    def comm(self, name, delay, async_launch=False, deps=(), at=None, fail=False):
-        """A COMM op whose launch returns a completion after ``delay``
-        (``None``: the launch returns no completion)."""
+    def comm(self, name, delay, async_launch=False, deps=(), at=None):
+        """A COMM op whose launch returns a completion that fires
+        ``delay`` later (``None``: the launch returns no completion)."""
         env = self.env
 
         def launch():
             self.log.append((f"{name}.launch", repr(env.now)))
             if delay is None:
                 return None
-            if not fail:
-                return env.timeout(delay)
-            completion = env.event()
-            env.defer(lambda _arg: completion.fail(_Boom(name)), None, delay)
+            completion = Completion()
+            env.defer(Completion.fire, completion, delay)
             return completion
 
         op = EngineOp(name, OpKind.COMM, deps=deps, launch=launch, async_launch=async_launch)
@@ -94,15 +100,7 @@ class _Recorder:
         return self.post(EngineOp(name, OpKind.BARRIER, deps=deps), at)
 
     def run(self):
-        """Run to the end; a raise is logged with its time and the run
-        continued, as a caller handling the failure would."""
-        while True:
-            try:
-                self.env.run()
-            except _Boom as exc:
-                self.log.append(("raised", str(exc), repr(self.env.now)))
-                continue
-            break
+        self.env.run()
         return self.material()
 
     def material(self):
@@ -121,7 +119,7 @@ def _gpu_contention():
     # c0 has the lowest seq but becomes ready last; when c1 releases the
     # GPU, c0 must win over c2, which has waited since t=0.
     r = _Recorder()
-    gate = r.fire(r.env.event(), 0.3125)
+    gate = r.gate(0.3125)
     r.compute("c0", 0.21, deps=[gate])
     r.compute("c1", 0.5)
     r.compute("c2", 0.1)
@@ -167,7 +165,7 @@ def _comm_kinds():
 def _processed_completion():
     # A launch may hand back a completion that has already fired.
     r = _Recorder()
-    fired = r.env.event().succeed()
+    fired = r.gate()
     a = r.compute("a", 0.15)
     comm = r.post(EngineOp("comm", OpKind.COMM, deps=[a], launch=lambda: fired))
     r.compute("after", 0.05, deps=[comm])
@@ -176,8 +174,8 @@ def _processed_completion():
 
 def _proxies():
     r = _Recorder()
-    fired = r.env.event().succeed()
-    pending = r.fire(r.env.event(), 0.6180339887)
+    fired = r.gate()
+    pending = r.gate(0.6180339887)
     a = r.compute("a", 0.1)
     r.proxy("pending", pending, deps=[a])
     r.proxy("fired", fired, deps=[a], at=0.05)
@@ -189,7 +187,7 @@ def _proxies():
 def _barrier():
     r = _Recorder(TensorFlowEngine)
     ops = [r.compute(f"c{i}", 0.1 * (i + 1) / 3) for i in range(3)]
-    gate = r.fire(r.env.event(), 0.05)
+    gate = r.gate(0.05)
     barrier = r.barrier("barrier", deps=ops + [gate])
     r.barrier("empty", deps=[])
     r.compute("next", 0.01, deps=[barrier])
@@ -217,36 +215,6 @@ def _halt_while_waiting():
     return r.run()
 
 
-def _failing_dep():
-    r = _Recorder()
-    bad = r.env.event()
-    r.env.defer(lambda _arg: bad.fail(_Boom("dep")), None, 0.37)
-    a = r.compute("a", 0.2)
-    r.compute("blocked", 0.1, deps=[a, bad])
-    r.compute("after", 0.5, deps=[a])
-    r.env.defer(r.note("same-instant"), None, 0.37)
-    return r.run()
-
-
-def _failing_completion():
-    r = _Recorder()
-    a = r.compute("a", 0.2)
-    r.comm("comm", 0.17, deps=[a], fail=True)
-    r.compute("after", 0.3, deps=[a])
-    return r.run()
-
-
-def _failing_release():
-    r = _Recorder()
-    release = r.env.event()
-    r.env.defer(lambda _arg: release.fail(_Boom("release")), None, 0.29)
-    a = r.compute("a", 0.2)
-    proxy = r.proxy("proxy", release, deps=[a])
-    r.compute("gated", 0.1, deps=[proxy])
-    r.compute("free", 0.3, deps=[a])
-    return r.run()
-
-
 # -- seeded random DAGs ---------------------------------------------------------------
 
 
@@ -266,7 +234,7 @@ def _random_dag(seed):
         post_at = None if at == 0.0 else at
         deps = rng.sample(r.ops, min(len(r.ops), rng.choice([0, 1, 1, 2, 3])))
         if rng.random() < 0.15:
-            deps.append(r.fire(env.event(), rng.uniform(0.0, 1.0)))
+            deps.append(r.gate(rng.uniform(0.0, 1.0)))
         name = f"op{index}"
         kind = rng.choice(["compute"] * 4 + ["comm", "proxy", "barrier"])
         if kind == "compute":
@@ -277,9 +245,9 @@ def _random_dag(seed):
             r.comm(name, delay, async_launch=rng.random() < 0.3, deps=deps, at=post_at)
         elif kind == "proxy":
             if rng.random() < 0.3:
-                release = env.event().succeed()
+                release = r.gate()
             else:
-                release = r.fire(env.event(), rng.uniform(0.0, 1.5))
+                release = r.gate(rng.uniform(0.0, 1.5))
             r.proxy(name, rng.choice([release, release, None]), deps=deps, at=post_at)
         else:
             r.barrier(name, deps=deps, at=post_at)
@@ -296,9 +264,6 @@ CASES = {
     "barrier": _barrier,
     "compute-scale": _compute_scale,
     "halt-while-waiting": _halt_while_waiting,
-    "failing-dep": _failing_dep,
-    "failing-completion": _failing_completion,
-    "failing-release": _failing_release,
 }
 for _seed in range(12):
     CASES[f"random-{_seed}"] = lambda seed=_seed: _random_dag(seed)
@@ -315,9 +280,6 @@ PINNED = {
     "barrier": ("7a2441311c2a2910e6e5232626e8f3a5874e8fff11361a80d7e9869ce2613781", 30, 6),
     "compute-scale": ("2ba6422db0640a4c98b17a769f496cf8dbb5fb843baf1e61b2e2496b3269e900", 29, 5),
     "halt-while-waiting": ("488521bc132e61000d7e7a6755c19fb4885ba837b53899d86e36ad3da7e96c37", 21, 6),
-    "failing-dep": ("aeea7aa6534ff478ff8c6ccae6e8a458d79a5195eb9e23e3d8755cf799559a76", 17, 2),
-    "failing-completion": ("3194ed57d9f594f0f2f00cea5be8e04a3ed2b96b330a586b4da2fd33990dccf0", 16, 2),
-    "failing-release": ("d4b1e10ed47774f4b8509689aa6beec3dc0f699628cb29faaf3144bca24b9bd6", 17, 2),
     "random-0": ("fdaa9d9a21141b095688f9ec485b2ec8dc79c91e6454c5e2665317b1fe3af396", 112, 20),
     "random-1": ("24938dd342cf90d7bb5607642117585d6924a3800c4802bb0efd7081a89b518b", 84, 14),
     "random-2": ("9899977c81617ada9d4c9fb4b323b0a48136d177c71d82a7118188aed4fbfc31", 85, 14),
@@ -334,8 +296,8 @@ PINNED = {
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_declarative_trajectory_pinned(case):
+def test_declarative_trajectory_pinned(case, unheard):
     fingerprint, eid = CASES[case]()
     expected_fingerprint, pinned_eid, returned = PINNED[case]
     assert fingerprint == expected_fingerprint
-    assert eid == pinned_eid - returned
+    assert pinned_eid - eid == returned + unheard[0]

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.frameworks import EngineOp, MXNetEngine, OpKind, PyTorchEngine
-from repro.sim import Environment
+from repro.sim import Completion, Environment
 
 
 def test_comm_launch_returning_none_completes_immediately():
@@ -14,7 +14,7 @@ def test_comm_launch_returning_none_completes_immediately():
         EngineOp("comm", OpKind.COMM, launch=lambda: calls.append(1) or None)
     )
     env.run()
-    assert op.done.triggered
+    assert op.done
     assert calls == [1]
 
 
@@ -30,12 +30,11 @@ def test_imperative_comm_launch_none_does_not_block():
 def test_proxy_with_already_fired_release_continues():
     env = Environment()
     engine = MXNetEngine(env)
-    release = env.event()
-    release.succeed()
-    env.run()  # process the release so it is 'processed'
+    release = Completion()
+    release.complete(env)
     proxy = engine.post(EngineOp("proxy", OpKind.PROXY, release=release))
     env.run()
-    assert proxy.done.triggered
+    assert proxy.done
 
 
 def test_zero_duration_compute_op():
@@ -51,7 +50,7 @@ def test_barrier_with_no_deps_completes_immediately():
     engine = MXNetEngine(env)
     barrier = engine.post(EngineOp("barrier", OpKind.BARRIER))
     env.run()
-    assert barrier.done.triggered
+    assert barrier.done
 
 
 def test_record_ops_retains_history():
@@ -79,11 +78,11 @@ def test_op_seq_is_posting_order():
     assert [op.seq for op in ops] == [0, 1, 2, 3]
 
 
-def test_dep_events_accepts_raw_events():
+def test_deps_accept_bare_completions():
     env = Environment()
     engine = MXNetEngine(env)
-    gate = env.event()
+    gate = Completion()
     op = engine.post(EngineOp("gated", OpKind.COMPUTE, duration=0.5, deps=[gate]))
-    env.defer(gate.succeed, None, 2.0)
+    env.defer(gate.complete, env, 2.0)
     env.run()
     assert op.finished_at == pytest.approx(2.5)

@@ -11,11 +11,18 @@ from repro.frameworks import (
     TensorFlowEngine,
     make_engine,
 )
-from repro.sim import Environment
+from repro.sim import Completion, Environment
 
 
 def compute(name, duration, deps=()):
     return EngineOp(name, OpKind.COMPUTE, deps=deps, duration=duration)
+
+
+def completes_after(env, delay):
+    """A completion that fires ``delay`` from now (a timeout)."""
+    done = Completion()
+    env.defer(Completion.fire, done, delay)
+    return done
 
 
 def test_declarative_runs_on_dependencies():
@@ -44,7 +51,7 @@ def test_declarative_comm_does_not_hold_gpu():
     env = Environment()
     engine = MXNetEngine(env)
     slow_comm = engine.post(
-        EngineOp("comm", OpKind.COMM, launch=lambda: env.timeout(10.0))
+        EngineOp("comm", OpKind.COMM, launch=lambda: completes_after(env, 10.0))
     )
     quick = engine.post(compute("q", 1.0))
     env.run()
@@ -55,19 +62,19 @@ def test_declarative_comm_does_not_hold_gpu():
 def test_declarative_async_comm_completes_at_launch():
     env = Environment()
     engine = TensorFlowEngine(env)
-    background = env.event()
+    background = Completion()
     op = engine.post(
         EngineOp("async", OpKind.COMM, launch=lambda: background, async_launch=True)
     )
     env.run()
-    assert op.done.triggered
-    assert not background.triggered
+    assert op.done
+    assert not background.done
 
 
 def test_declarative_proxy_blocks_until_release():
     env = Environment()
     engine = MXNetEngine(env)
-    release = env.event()
+    release = Completion()
     fired = []
     proxy = engine.post(
         EngineOp(
@@ -78,7 +85,7 @@ def test_declarative_proxy_blocks_until_release():
         )
     )
     downstream = engine.post(compute("down", 1.0, deps=[proxy]))
-    env.defer(release.succeed, None, 5.0)
+    env.defer(release.complete, env, 5.0)
     env.run()
     assert fired == [0.0]  # notify_ready fires immediately at start
     assert downstream.finished_at == pytest.approx(6.0)
@@ -107,7 +114,9 @@ def test_imperative_strict_program_order():
 def test_imperative_comm_launch_does_not_block_driver():
     env = Environment()
     engine = PyTorchEngine(env)
-    comm = engine.post(EngineOp("comm", OpKind.COMM, launch=lambda: env.timeout(10.0)))
+    comm = engine.post(
+        EngineOp("comm", OpKind.COMM, launch=lambda: completes_after(env, 10.0))
+    )
     after = engine.post(compute("after", 1.0))
     env.run()
     assert after.finished_at == pytest.approx(1.0)
@@ -117,7 +126,9 @@ def test_imperative_comm_launch_does_not_block_driver():
 def test_imperative_barrier_blocks_driver_on_comm_completion():
     env = Environment()
     engine = PyTorchEngine(env)
-    comm = engine.post(EngineOp("comm", OpKind.COMM, launch=lambda: env.timeout(5.0)))
+    comm = engine.post(
+        EngineOp("comm", OpKind.COMM, launch=lambda: completes_after(env, 5.0))
+    )
     barrier = engine.post(EngineOp("barrier", OpKind.BARRIER, deps=[comm]))
     next_iter = engine.post(compute("next", 1.0))
     env.run()
@@ -128,10 +139,10 @@ def test_imperative_barrier_blocks_driver_on_comm_completion():
 def test_imperative_proxy_hook_blocks_driver():
     env = Environment()
     engine = PyTorchEngine(env)
-    release = env.event()
+    release = Completion()
     proxy = engine.post(EngineOp("hook", OpKind.PROXY, release=release))
     after = engine.post(compute("after", 1.0))
-    env.defer(release.succeed, None, 3.0)
+    env.defer(release.complete, env, 3.0)
     env.run()
     assert proxy.finished_at == pytest.approx(3.0)
     assert after.finished_at == pytest.approx(4.0)
@@ -182,3 +193,38 @@ def test_negative_duration_rejected():
     for duration in (-1.0, float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ConfigError):
             compute("bad", duration)
+
+
+def test_an_op_nobody_waits_on_finishes_without_an_entry():
+    env = Environment()
+    engine = PyTorchEngine(env)
+    env.run()
+    eid = env._eid
+    op = engine.post(compute("alone", 0.0))
+    env.run()
+    # The hand-off entry and nothing more: no entry for the op's end.
+    assert op.done and env._eid == eid + 1
+
+
+def test_op_listeners_run_in_one_entry_and_are_dropped():
+    env = Environment()
+    engine = MXNetEngine(env)
+    op = engine.post(compute("a", 1.0))
+    heard = []
+    op.then(lambda done: heard.append((done.name, env.now)))
+    op.then(lambda done: heard.append(("again", env.now)))
+    env.run()
+    assert heard == [("a", 1.0), ("again", 1.0)]
+    # The listeners are released once run: a finished op holds no
+    # closure that could point back at it.
+    assert op.listeners is None
+
+
+def test_listener_on_a_finished_op_runs_at_once():
+    env = Environment()
+    engine = PyTorchEngine(env)
+    op = engine.post(compute("a", 1.0))
+    env.run()
+    heard = []
+    op.then(heard.append)
+    assert heard == [op]

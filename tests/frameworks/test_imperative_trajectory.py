@@ -10,14 +10,14 @@ pass.
 The property test replays random programs on the engine and on
 :class:`StoreDrivenEngine`, a copy of that Store-backed driver kept only
 as the oracle, and requires identical per-op timings and an identical
-global order of observable firings.  The kernel no longer has
+global order of observable firings.  The kernel no longer has events,
 generator processes, a wait-for-all condition or a Store, so the oracle
-runs on test-local copies of the three (:class:`_Process`,
-:func:`_all_of`, :class:`_Fifo`) that schedule their events at the
-points the kernel's did.  The failure tests hold the engine
-to the same oracle when a release, a completion or a barrier
-dependency fails: the same exception from ``env.run()``, raised by the
-same kernel entry.
+runs on test-local copies of the four (:class:`_Event`,
+:class:`_Process`, :func:`_all_of`, :class:`_Fifo`) that schedule
+their entries at the points the kernel's did.  An op, a release and a
+launch's completion are :class:`~repro.sim.Completion`\\ s; the oracle
+waits on one through an event that its listener succeeds
+(:func:`_as_event`).
 """
 
 import gc
@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 
 from repro.frameworks import EngineOp, OpKind, PyTorchEngine
 from repro.frameworks.engine import Engine
-from repro.sim import Environment, Event
+from repro.sim import Completion, Environment
 from repro.training import ClusterSpec, SchedulerSpec, TrainingJob, resolve_model
 
 
@@ -73,10 +73,60 @@ def test_pytorch_trajectory_pinned(model, machines, scheduler, expected):
     assert _fingerprint(model, machines, scheduler) == expected
 
 
-class _Process(Event):
+class _Event:
+    """The kernel's one-shot event, as the oracle's driver used it:
+    :meth:`succeed` schedules one entry, which runs the callbacks
+    added until it fires; a callback added later is the caller's to
+    run."""
+
+    def __init__(self, env: Environment) -> None:
+        self.env = env
+        self.callbacks = []
+        self.triggered = False
+        self.value = None
+
+    @property
+    def processed(self) -> bool:
+        return self.callbacks is None
+
+    def succeed(self, value=None) -> "_Event":
+        self.triggered = True
+        self.value = value
+        self.env.defer(_Event._process, self)
+        return self
+
+    def succeed_inline(self, value=None) -> None:
+        self.triggered = True
+        self.value = value
+        self._process()
+
+    def _process(self, _arg=None) -> None:
+        callbacks = self.callbacks
+        self.callbacks = None
+        for callback in callbacks:
+            callback(self)
+
+
+def _timeout(env: Environment, delay: float) -> _Event:
+    """An event that fires ``delay`` from now: one entry, issued now."""
+    event = _Event(env)
+    event.triggered = True
+    env.defer(_Event._process, event, delay)
+    return event
+
+
+def _as_event(env: Environment, completion: Completion) -> _Event:
+    """An event processed in the entry that runs ``completion``'s
+    listeners, or already processed if they have run."""
+    event = _Event(env)
+    completion.then(lambda _completion: event.succeed_inline())
+    return event
+
+
+class _Process(_Event):
     """A generator resumed each time the event it yields fires, and an
-    event that succeeds with its return value or fails with what
-    escaped it.  Kicked off by one deferred entry."""
+    event that succeeds with its return value.  Kicked off by one
+    deferred entry."""
 
     def __init__(self, env: Environment, generator) -> None:
         super().__init__(env)
@@ -86,37 +136,24 @@ class _Process(Event):
     def _resume(self, event=None) -> None:
         while True:
             try:
-                if event is None or event._ok:
-                    event = self._generator.send(None if event is None else event._value)
-                else:
-                    event.defused = True
-                    event = self._generator.throw(event._value)
+                event = self._generator.send(None if event is None else event.value)
             except StopIteration as stop:
                 self.succeed(stop.value)
-                return
-            except BaseException as exc:
-                self.fail(exc)
                 return
             if event.callbacks is not None:
                 event.callbacks.append(self._resume)
                 return
 
 
-def _all_of(env: Environment, events) -> Event:
-    """An event that succeeds once every one of ``events`` has, or
-    fails with the first failure among them."""
-    done = env.event()
+def _all_of(env: Environment, events) -> _Event:
+    """An event that succeeds once every one of ``events`` has."""
+    done = _Event(env)
     left = len(events)
 
-    def check(event: Event) -> None:
+    def check(_event) -> None:
         nonlocal left
-        if not event._ok:
-            event.defused = True
-            if not done.triggered:
-                done.fail(event._value)
-            return
         left -= 1
-        if not left and not done.triggered:
+        if not left:
             done.succeed()
 
     for event in events:
@@ -138,12 +175,12 @@ class _Fifo:
         self._getters = deque()
 
     def put(self, item) -> None:
-        self.env.event().succeed()
+        _Event(self.env).succeed()
         self._items.append(item)
         self._serve()
 
-    def get(self) -> Event:
-        get = self.env.event()
+    def get(self) -> _Event:
+        get = _Event(self.env)
         self._getters.append(get)
         self._serve()
         return get
@@ -154,7 +191,13 @@ class _Fifo:
 
 
 class StoreDrivenEngine(Engine):
-    """The imperative driver as it was on the kernel's Store."""
+    """The imperative driver as it was on the kernel's Store.
+
+    It completes an op with :meth:`~repro.sim.Completion.complete`,
+    which issues the entry the op's completion event did as long as
+    the op has a listener: every op of these programs has one from
+    its post on.
+    """
 
     def __init__(self, env: Environment) -> None:
         super().__init__(env, "store-driven")
@@ -173,13 +216,12 @@ class StoreDrivenEngine(Engine):
             if op.kind is OpKind.COMM:
                 completion = op.launch()
                 if op.async_launch or completion is None:
-                    op.finished_at = self.env.now
-                    op.done.succeed(op)
+                    self._finish(op)
                 else:
-                    completion.callbacks.append(lambda _evt, op=op: self._finish(op))
+                    completion.then(lambda _completion, op=op: self._finish(op))
                 continue
             if op.kind is OpKind.BARRIER:
-                deps = op.dep_events()
+                deps = [_as_event(self.env, dep) for dep in op.deps]
                 if deps:
                     yield _all_of(self.env, deps)
             else:
@@ -188,7 +230,7 @@ class StoreDrivenEngine(Engine):
 
     def _finish(self, op: EngineOp) -> None:
         op.finished_at = self.env.now
-        op.done.succeed(op)
+        op.complete(self.env)
 
     def _run_op_body(self, op: EngineOp):
         """The op body both engines once shared (the declarative engine
@@ -198,16 +240,16 @@ class StoreDrivenEngine(Engine):
             if self.compute_scale is not None:
                 duration = self.compute_scale(self.env.now, duration)
             if duration > 0:
-                yield self.env.timeout(duration)
+                yield _timeout(self.env, duration)
         elif op.kind is OpKind.COMM:
             completion = op.launch()
             if not op.async_launch and completion is not None:
-                yield completion
+                yield _as_event(self.env, completion)
         elif op.kind is OpKind.PROXY:
             if op.on_start is not None:
                 op.on_start()
-            if op.release is not None and not op.release.processed:
-                yield op.release
+            if op.release is not None:
+                yield _as_event(self.env, op.release)
         elif op.kind is OpKind.BARRIER:
             pass  # deps were awaited by the engine already
         return None
@@ -257,18 +299,22 @@ def _replay(engine_cls, program, halt_at):
 
             def launch(name=name, delay=delay):
                 log.append((f"{name}.launch", env.now))
-                return None if delay is None else env.timeout(delay)
+                if delay is None:
+                    return None
+                completion = Completion()
+                env.defer(Completion.fire, completion, delay)
+                return completion
 
             op = EngineOp(name, OpKind.COMM, launch=launch, async_launch=async_launch)
         elif kind == "proxy":
-            release = env.event()
+            release = Completion()
             op = EngineOp(
                 name, OpKind.PROXY, on_start=note(f"{name}.start"), release=release
             )
 
             def releaser(release, name=name):
                 log.append((f"{name}.release", env.now))
-                release.succeed()
+                release.complete(env)
 
             env.defer(releaser, release, spec[1])
         else:
@@ -278,7 +324,7 @@ def _replay(engine_cls, program, halt_at):
 
         def post(op=op):
             engine.post(op)
-            op.done.callbacks.append(note(f"{op.name}.done"))
+            op.then(note(f"{op.name}.done"))
 
         if post_at is None:
             post()
@@ -337,10 +383,10 @@ def test_halt_abandons_pending_and_later_ops():
     env.run()  # must return: nothing the driver waits on is scheduled
     assert env.now == pytest.approx(1.0)
     assert running.finished_at == pytest.approx(1.0)
-    assert running.done.processed
+    assert running.done
     for op in (pending, late):
         assert op.started_at is None
-        assert not op.done.triggered
+        assert not op.done
         assert not _queued(op)  # the halted driver drained it
     assert not env._pending()
 
@@ -353,64 +399,6 @@ def test_halted_idle_driver_drains_without_running():
     ops = [engine.post(_compute(f"op{i}", 1.0)) for i in range(3)]
     env.run()
     assert env.now == 0.0
-    assert all(op.started_at is None and not op.done.triggered for op in ops)
+    assert all(op.started_at is None and not op.done for op in ops)
     assert not any(_queued(op) for op in ops)
     assert not env._pending()
-
-
-# -- failures ----------------------------------------------------------------------
-
-
-class _Boom(Exception):
-    pass
-
-
-def _failing_run(engine_cls, kind):
-    """Block ``kind`` on an event that fails at t=1, with compute ops
-    before and after it; return what both drivers must agree on."""
-    env = Environment()
-    engine = engine_cls(env)
-    trouble = env.event()
-    boom = _Boom(kind)
-    log = []
-    if kind == "proxy":
-        blocked = EngineOp("blocked", OpKind.PROXY, release=trouble)
-    elif kind == "comm":
-        blocked = EngineOp("blocked", OpKind.COMM, launch=lambda: trouble)
-    else:
-        blocked = EngineOp("blocked", OpKind.BARRIER, deps=[trouble])
-    ops = [_compute("before", 0.5), blocked, _compute("after", 1.0)]
-    for op in ops:
-        engine.post(op)
-        op.done.callbacks.append(lambda _evt, name=op.name: log.append((name, env.now)))
-
-    def failer(step):
-        if step is None:
-            trouble.fail(boom)
-        else:
-            log.append((f"failer{step}", env.now))
-        # Same-instant entries queued behind the failure, to pin down
-        # which kernel entry raises it.
-        step = 0 if step is None else step + 1
-        if step < 3:
-            env.defer(failer, step)
-
-    env.defer(failer, None, 1.0)
-    with pytest.raises(_Boom) as raised:
-        env.run()
-    assert raised.value is boom
-    raised = (env.now, list(log))
-    env.run()  # the rest of the run, after the caller handled the failure
-    return raised, env.now, [(op.name, op.started_at, op.finished_at) for op in ops], log
-
-
-@pytest.mark.parametrize("kind", ["proxy", "comm", "barrier"])
-def test_failure_surfaces_like_store_driven_engine(kind):
-    outcome = _failing_run(PyTorchEngine, kind)
-    assert outcome == _failing_run(StoreDrivenEngine, kind)
-    (raised_at, _logged), _end, timings, _log = outcome
-    assert raised_at == 1.0
-    if kind != "comm":
-        # The failed wait stops the driver: the op it blocked never
-        # finishes and nothing behind it starts.
-        assert timings[1:] == [("blocked", 0.5, None), ("after", None, None)]

@@ -2,7 +2,7 @@
 
 ``transmit(..., callback=...)`` completes each frame in its own bare
 deferred kernel entry.  The link used to offer a second path, one
-``Timeout`` event per message when no callback was given, and the
+timeout event per message when no callback was given, and the
 contract was that callbacks fire at exactly the same simulated times,
 in exactly the same order and with the same number of kernel entries
 as those events.  :data:`PINNED` holds that contract: it was recorded
@@ -171,12 +171,14 @@ def test_past_available_at_fires_without_time_travel():
     # callback fires this instant, never in the simulated past.
     env = Environment()
     link = make_link(env)
-    env.timeout(5.0).callbacks.append(
-        lambda _evt: link.transmit_cut_through(
+    env.defer(
+        lambda _arg: link.transmit_cut_through(
             Message("a", "b", 1.0),
             available_at=0.0,
             callback=lambda m: fired.append(env.now),
-        )
+        ),
+        None,
+        5.0,
     )
     fired = []
     env.run()

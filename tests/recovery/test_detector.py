@@ -98,7 +98,7 @@ def test_open_ended_watch_probes_and_cancel_keeps_heap_finite():
     )
     # Without the cancel the chain would re-arm forever; cancelling
     # from inside the simulation lets env.run() drain and return.
-    env.timeout(0.1).callbacks.append(lambda _evt: cancel())
+    env.defer(lambda _arg: cancel(), None, 0.1)
     env.run()
     assert env.now < 1.0
     assert 0 < detector.probes_sent <= 12
@@ -120,7 +120,7 @@ def test_open_ended_watch_survives_lifecycle_resolution():
         on_recovery=lambda node, now: events.append(("up", now)),
         open_ended=True,
     )
-    env.timeout(0.2).callbacks.append(lambda _evt: cancel())
+    env.defer(lambda _arg: cancel(), None, 0.2)
     env.run()
     assert [kind for kind, _now in events] == ["dead", "up"]
     # Probes continued past the recovery (at 0.04) until the cancel.

@@ -15,9 +15,7 @@ def test_window_arithmetic_is_half_open():
     liveness.add_window("s0", 1.0, 2.0)
     checks = []
     for t in (0.5, 1.0, 1.5, 2.0, 3.0):
-        env.timeout(t).callbacks.append(
-            lambda _evt, n=t: checks.append((n, liveness.is_up("s0")))
-        )
+        env.defer(lambda n: checks.append((n, liveness.is_up("s0"))), t, t)
     env.run()
     assert checks == [
         (0.5, True),
@@ -41,9 +39,7 @@ def test_permanent_crash_never_recovers():
     liveness.add_window("w0", 0.5, math.inf)
     assert liveness.is_permanent("w0")
     seen = []
-    env.timeout(1000.0).callbacks.append(
-        lambda _evt: seen.append(liveness.is_up("w0"))
-    )
+    env.defer(lambda _arg: seen.append(liveness.is_up("w0")), None, 1000.0)
     env.run()
     assert seen == [False]
 

@@ -1,11 +1,11 @@
-"""Unit tests for the discrete-event kernel (Environment/Event/Timeout)."""
+"""Unit tests for the discrete-event kernel (Environment/Completion)."""
 
 import math
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Environment
+from repro.sim import Completion, Environment
 
 
 def test_clock_starts_at_zero():
@@ -18,146 +18,164 @@ def test_clock_custom_initial_time():
     assert env.now == 12.5
 
 
-def test_timeout_advances_clock():
+def test_defer_advances_clock():
     env = Environment()
     seen = []
-    env.timeout(3.0).callbacks.append(lambda _evt: seen.append(env.now))
+    env.defer(lambda _arg: seen.append(env.now), None, 3.0)
     env.run()
     assert seen == [3.0]
     assert env.now == 3.0
 
 
-def test_negative_timeout_rejected():
+def test_negative_defer_rejected():
     env = Environment()
     with pytest.raises(SimulationError):
-        env.timeout(-1.0)
-
-
-def test_nan_timeout_rejected():
-    # A NaN at the heap head would end run() at once and drop every
-    # later event.
-    env = Environment()
-    with pytest.raises(SimulationError):
-        env.timeout(math.nan)
+        env.defer(lambda _arg: None, None, -1.0)
 
 
 def test_infinite_delay_parks_forever():
     env = Environment()
     fired = []
-    env.timeout(math.inf).callbacks.append(lambda _evt: fired.append("inf"))
-    env.timeout(1.0).callbacks.append(lambda _evt: fired.append("finite"))
+    env.defer(fired.append, "inf", math.inf)
+    env.defer(fired.append, "finite", 1.0)
     env.run(until=10.0)
     assert fired == ["finite"]
     assert env.now == 10.0
 
 
-def test_timeout_carries_value():
-    env = Environment()
-    got = []
-    env.timeout(1.0, value="payload").callbacks.append(lambda evt: got.append(evt.value))
-    env.run()
-    assert got == ["payload"]
-
-
-def test_sequential_timeouts_accumulate():
+def test_sequential_defers_accumulate():
     env = Environment()
     times = []
 
     delays = [1.0, 2.0, 0.5]
 
-    def step(_event):
+    def step(_arg):
         times.append(env.now)
         if delays:
-            env.timeout(delays.pop(0)).callbacks.append(step)
+            env.defer(step, None, delays.pop(0))
 
-    env.timeout(delays.pop(0)).callbacks.append(step)
+    env.defer(step, None, delays.pop(0))
     env.run()
     assert times == [1.0, 3.0, 3.5]
 
 
-def test_same_time_events_fire_fifo():
+def test_same_time_entries_fire_fifo():
     env = Environment()
     order = []
 
     for tag in ("a", "b", "c"):
-        env.timeout(1.0).callbacks.append(lambda _evt, tag=tag: order.append(tag))
+        env.defer(order.append, tag, 1.0)
     env.run()
     assert order == ["a", "b", "c"]
 
 
-def test_event_succeed_wakes_waiter():
+def test_deferred_raise_surfaces_from_run():
+    # How a failure nobody claims reaches the caller (e.g. an aborted
+    # PS transfer): the entry raises, and run() propagates it.
     env = Environment()
-    gate = env.event()
-    log = []
 
-    gate.callbacks.append(lambda evt: log.append((env.now, evt.value)))
-    env.defer(gate.succeed, "open", 5.0)
-    env.run()
-    assert log == [(5.0, "open")]
+    def boom(exc):
+        raise exc
 
-
-def test_succeed_inline_runs_callbacks_in_the_current_entry():
-    env = Environment()
-    gate = env.event()
-    log = []
-    gate.callbacks.append(lambda event: log.append(("callback", env.now, event.value)))
-
-    def opener(_arg):
-        eid = env._eid
-        gate.succeed_inline("open")
-        # The callbacks ran before succeed_inline returned, and it
-        # consumed no sequence number.
-        log.append(("opener", env._eid - eid))
-
-    env.defer(opener, None, 5.0)
-    env.run()
-    assert log == [("callback", 5.0, "open"), ("opener", 0)]
-    assert gate.processed and gate.value == "open"
-    with pytest.raises(SimulationError):
-        gate.succeed_inline("again")
-
-
-def test_event_cannot_trigger_twice():
-    env = Environment()
-    gate = env.event()
-    gate.succeed(1)
-    with pytest.raises(SimulationError):
-        gate.succeed(2)
-
-
-def test_event_fail_raises_in_waiter():
-    env = Environment()
-    gate = env.event()
-    caught = []
-
-    def waiter(evt):
-        evt.defused = True  # handled here, so run() must not raise it
-        caught.append(str(evt.value))
-
-    gate.callbacks.append(waiter)
-    gate.fail(ValueError("boom"))
-    env.run()
-    assert caught == ["boom"]
-
-
-def test_unhandled_event_failure_surfaces():
-    env = Environment()
-    gate = env.event()
-    gate.fail(RuntimeError("nobody catches this"))
+    env.defer(boom, RuntimeError("nobody catches this"))
     with pytest.raises(RuntimeError, match="nobody catches this"):
         env.run()
 
 
-def test_fail_requires_exception():
+# -- Completion -------------------------------------------------------------------
+
+
+def test_complete_without_listener_issues_no_entry():
     env = Environment()
-    with pytest.raises(TypeError):
-        env.event().fail("not an exception")
+    done = Completion()
+    done.complete(env)
+    assert done.done
+    assert env._eid == 0 and not env._pending()
+
+
+def test_listeners_run_in_one_entry_issued_at_completion():
+    env = Environment()
+    done = Completion()
+    log = []
+    done.then(lambda completion: log.append(("first", env.now, completion.done)))
+    done.then(lambda _completion: log.append(("second", env.now)))
+
+    def completer(_arg):
+        env.defer(log.append, "before")
+        done.complete(env)
+        env.defer(log.append, "after")
+        # Added while the completion's entry is pending: runs in it.
+        done.then(lambda _completion: log.append(("late", env.now)))
+
+    env.defer(completer, None, 2.0)
+    env.run()
+    assert log == [
+        "before",
+        ("first", 2.0, True),
+        ("second", 2.0),
+        ("late", 2.0),
+        "after",
+    ]
+    assert env._eid == 4
+
+
+def test_listener_added_after_completion_runs_at_once():
+    env = Environment()
+    heard = Completion()
+    heard.then(lambda _completion: None)
+    heard.complete(env)
+    env.run()
+    unheard = Completion()
+    unheard.complete(env)
+    log = []
+    for completion in (heard, unheard):
+        completion.then(log.append)
+        assert log[-1] is completion
+    assert env._eid == 1 and not env._pending()
+
+
+def test_fire_runs_listeners_in_the_current_entry():
+    env = Environment()
+    gate = Completion()
+    log = []
+    gate.then(lambda _completion: log.append(("listener", env.now)))
+
+    def opener(_arg):
+        eid = env._eid
+        gate.fire("delivered")
+        # The listeners ran before fire returned, and it consumed no
+        # sequence number.
+        log.append(("opener", env._eid - eid))
+
+    env.defer(opener, None, 5.0)
+    env.run()
+    assert log == [("listener", 5.0), ("opener", 0)]
+    assert gate.done
+
+
+def test_defer_at_fire_completes_at_the_exact_time():
+    env = Environment()
+    env.run(until=0.13)
+    gate = Completion()
+    seen = []
+    gate.then(lambda _completion: seen.append(env.now))
+    env.defer_at(Completion.fire, gate, 1.26)
+    env.run()
+    assert seen == [1.26] and gate.done
+
+
+def test_completion_cannot_complete_twice():
+    env = Environment()
+    done = Completion()
+    done.complete(env)
+    with pytest.raises(SimulationError):
+        done.complete(env)
 
 
 def test_run_until_stops_clock():
     env = Environment()
 
-    env.timeout(100.0)
+    env.defer(lambda _arg: None, None, 100.0)
     env.run(until=10.0)
     assert env.now == 10.0
 
@@ -181,9 +199,9 @@ def test_step_empty_queue_raises():
         env.step()
 
 
-def test_peek_reports_next_event_time():
+def test_peek_reports_next_entry_time():
     env = Environment()
-    env.timeout(7.0)
+    env.defer(lambda _arg: None, None, 7.0)
     assert env.peek() == 7.0
 
 
@@ -192,27 +210,17 @@ def test_peek_empty_is_inf():
     assert env.peek() == float("inf")
 
 
-def test_event_value_before_trigger_raises():
-    env = Environment()
-    with pytest.raises(SimulationError):
-        _ = env.event().value
-
-
-def test_event_ok_before_trigger_raises():
-    env = Environment()
-    with pytest.raises(SimulationError):
-        _ = env.event().ok
-
-
 def test_defer_runs_callback_in_order():
     env = Environment()
     log = []
 
+    done = Completion()
+    done.then(lambda _completion: log.append("completion"))
     env.defer(log.append, "deferred")
-    env.timeout(0.0).callbacks.append(lambda _evt: log.append("event"))
+    done.complete(env)
     env.defer(log.append, "deferred-after")
     env.run()
-    assert log == ["deferred", "event", "deferred-after"]
+    assert log == ["deferred", "completion", "deferred-after"]
 
 
 def test_defer_with_delay_and_priority():
@@ -249,7 +257,7 @@ def test_defer_at_takes_one_sequence_number_in_order():
     log = []
     env.defer(log.append, "a", 1.0)
     env.defer_at(log.append, "b", 1.0)
-    env.timeout(1.0).callbacks.append(lambda _evt: log.append("c"))
+    env.defer(log.append, "c", 1.0)
     eid = env._eid
     env.run()
     assert log == ["a", "b", "c"]

@@ -4,7 +4,12 @@
 :class:`Timeout`, is a verbatim copy of the heap-only kernel that every
 trajectory pin was recorded on: all entries, same-instant ones too, go
 through one binary heap.  It is kept only as the oracle for the
-same-instant lane of :mod:`repro.sim.core`.  Random programs mix every
+same-instant lane of :mod:`repro.sim.core`, which has no events: each
+way the oracle schedules an entry maps to the callback-only kernel's
+replacement for it (a timeout, a succeeded or a failed-and-handled
+event to one :meth:`~repro.sim.Environment.defer`; an inline succeed
+to a direct call; a completion with a listener to
+:meth:`~repro.sim.Completion.complete`).  Random programs mix every
 way of scheduling an entry, with zero, positive and ulp-sized delays,
 at clocks where ``now + 1e-12 == now``; they are driven by ``run()``,
 by ``run(until=)`` stops and by ``peek``/``step`` loops (as
@@ -297,7 +302,7 @@ class Environment:
         return f"<Environment now={self._now} pending={self._pending()}>"
 
 
-KINDS = ("defer", "defer_at", "timeout", "succeed", "inline", "fail")
+KINDS = ("defer", "defer_at", "timeout", "succeed", "inline", "fail", "complete")
 
 #: Zero, positive (ties on purpose) and ulp-sized delays.  At a clock of
 #: 1e6 and above, ``now + 1e-12`` rounds back to ``now``; ``1e-10`` is
@@ -349,12 +354,24 @@ def _replay(make_env, start, program, drive):
             env.defer(fire, index, delay)
         elif kind == "defer_at":
             env.defer_at(fire, index, env.now + delay)
+        elif isinstance(env, sim.Environment):
+            # The callback-only kernel's replacement for each event use.
+            if kind == "timeout":
+                env.defer(fire, index, delay)
+            elif kind == "inline":
+                fire(index)
+            elif kind == "complete":
+                done = sim.Completion()
+                done.then(lambda _done: fire(index))
+                done.complete(env)
+            else:
+                env.defer(fire, index)
         elif kind == "timeout":
             env.timeout(delay).callbacks.append(lambda event: on_event(event, index))
         else:
             event = env.event()
             event.callbacks.append(lambda event: on_event(event, index))
-            if kind == "succeed":
+            if kind in ("succeed", "complete"):
                 event.succeed()
             elif kind == "inline":
                 event.succeed_inline()
@@ -407,7 +424,9 @@ def test_pending_counts_heap_and_lane():
     env = sim.Environment()
     env.defer(print, None, 1.0)
     env.defer(print, None)
-    env.event().succeed()
+    done = sim.Completion()
+    done.then(print)
+    done.complete(env)
     assert env._pending() == 3
     assert "pending=3" in repr(env)
     assert env.peek() == 0.0

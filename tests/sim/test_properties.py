@@ -8,13 +8,11 @@ from repro.sim import Environment
 
 @given(delays=st.lists(st.floats(min_value=0.0, max_value=100.0), min_size=1, max_size=40))
 @settings(max_examples=60, deadline=None)
-def test_timeouts_fire_in_nondecreasing_time_order(delays):
+def test_deferred_entries_fire_in_nondecreasing_time_order(delays):
     env = Environment()
     fired = []
     for index, delay in enumerate(delays):
-        env.timeout(delay).callbacks.append(
-            lambda _evt, i=index: fired.append((env.now, i))
-        )
+        env.defer(lambda i: fired.append((env.now, i)), index, delay)
     env.run()
     times = [time for time, _index in fired]
     assert times == sorted(times)
@@ -24,11 +22,11 @@ def test_timeouts_fire_in_nondecreasing_time_order(delays):
 
 @given(delays=st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=2, max_size=20))
 @settings(max_examples=40, deadline=None)
-def test_equal_time_events_fire_in_schedule_order(delays):
+def test_equal_time_entries_fire_in_schedule_order(delays):
     env = Environment()
     fired = []
     for index, delay in enumerate(delays):
-        env.timeout(delay).callbacks.append(lambda _evt, i=index: fired.append(i))
+        env.defer(fired.append, index, delay)
     env.run()
     # Stable: among equal delays, earlier-scheduled fires first.
     by_key = sorted(range(len(delays)), key=lambda i: (delays[i], i))

@@ -1,6 +1,6 @@
-"""Event-queue ordering across a wide range of delay magnitudes.
+"""Entry-queue ordering across a wide range of delay magnitudes.
 
-The kernel orders entries by ``(time, priority, sequence)``, so timeouts
+The kernel orders entries by ``(time, sequence)``, so deferred entries
 scheduled from time zero must fire sorted by delay, with ties broken by
 the order they were scheduled in.
 """
@@ -25,9 +25,7 @@ def test_wide_dynamic_range_preserves_order(delays):
     env = Environment()
     fired = []
     for i, delay in enumerate(delays):
-        env.timeout(delay).callbacks.append(
-            lambda _evt, i=i: fired.append((env.now, i))
-        )
+        env.defer(lambda i: fired.append((env.now, i)), i, delay)
     env.run()
     assert fired == sorted((delay, i) for i, delay in enumerate(delays))
     assert env.now == max(delays)

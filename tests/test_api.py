@@ -39,7 +39,7 @@ def test_error_hierarchy():
 @pytest.mark.parametrize(
     "module,names",
     [
-        (sim, ["Environment", "Event", "Timeout", "Trace"]),
+        (sim, ["Environment", "Completion", "Trace"]),
         (net, ["Fabric", "Link", "Message", "TCPTransport", "RDMATransport"]),
         (models, ["ModelSpec", "vgg16", "get_model", "figure2_model"]),
         (frameworks, ["MXNetEngine", "TensorFlowEngine", "PyTorchEngine"]),
